@@ -7,9 +7,9 @@
 // `--check` is the CI gate: it validates that both exports are
 // well-formed (the capture round-trips through Trace::load, collapsed
 // stacks carry parallel_for provenance frames, the Chrome JSON has the
-// expected structure) and that the *disabled*-hook path — the one relaxed
-// load + branch every dispatch site pays when no tracer is installed —
-// adds less than 2% to bulk parallel_for chunk dispatch.
+// expected structure) and that the *disabled*-hook path — what dispatch
+// pays when no runtime hook (tracer or race checker) is installed — adds
+// less than 2% to bulk parallel_for chunk dispatch.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -31,12 +31,13 @@
 
 namespace {
 
-// Disabled-hook cost of one chunk's trace sites, measured with the exact
-// structure BulkLoop::execute uses: the hook pointer is loaded once per
-// job copy (amortizing the atomic load over all its chunks) and each chunk
-// pays two PE_TRACE_EMIT_CACHED branches. Differential measurement — the
-// same loop with and without the guard sites — isolates the guards from
-// the loop scaffolding.
+// Disabled-hook cost of one chunk's instrumentation, measured with the
+// exact structure BulkLoop::execute uses: the runtime hook is the only
+// hook a chunk announces itself to, its pointer is loaded once per job
+// copy (amortizing the atomic load over all its chunks), and each chunk
+// pays two PE_TRACE_EMIT_CACHED branches and nothing else. Differential
+// measurement — the same loop with and without the guard sites — isolates
+// the guards from the loop scaffolding.
 double measure_chunk_guard_ns(const pe::BenchmarkRunner& runner) {
   constexpr std::size_t kChunks = 4096;
   const pe::Measurement base = runner.run("trace.chunk_baseline", [] {
@@ -72,7 +73,8 @@ double measure_chunk_guard_ns(const pe::BenchmarkRunner& runner) {
 }
 
 // Cost of one full guard (atomic acquire load + branch) — the spelling the
-// per-loop and per-event scheduler sites use (kSubmit, kSteal, kPark, ...).
+// per-loop and per-event scheduler sites use (kSubmit, kSteal, kPark, ...)
+// and the cost of each per-job-copy hook load.
 double measure_load_guard_ns(const pe::BenchmarkRunner& runner) {
   constexpr std::size_t kSites = 4096;
   const pe::Measurement m = runner.run("trace.guard_disabled", [] {
@@ -293,8 +295,9 @@ int main(int argc, char** argv) {
   // pays the two PE_TRACE_EMIT_CACHED branches in BulkLoop::execute
   // (measured differentially with that exact structure); the atomic-load
   // guards fire per *loop* (kSubmit, kLoopBegin/End) and per job copy (the
-  // one cached load), so they amortize over every chunk of the loop.
-  // Total must stay under 2% of the measured per-chunk dispatch cost.
+  // worker's task-start load and execute's cached load), so they amortize
+  // over every chunk of the loop. Total must stay under 2% of the measured
+  // per-chunk dispatch cost.
   pe::MeasurementConfig mcfg;
   mcfg.warmup_runs = 2;
   mcfg.repetitions = 11;
@@ -303,10 +306,12 @@ int main(int argc, char** argv) {
   const double chunk_guard_ns = measure_chunk_guard_ns(runner);
   const double load_guard_ns = measure_load_guard_ns(runner);
   const auto probe = pe::microbench::probe_scheduler(runner);
-  // Per-loop sites: kSubmit + kLoopBegin + kLoopEnd, plus one cached hook
-  // load per job copy (== pool size) and per participating caller.
+  // Per-loop sites: kSubmit + kLoopBegin + kLoopEnd, two hook loads per
+  // job copy (== pool size: run_job's and execute's) and one for the
+  // participating caller.
   const double amortized_ns =
-      load_guard_ns * (3.0 + static_cast<double>(probe.pool_threads) + 1.0) /
+      load_guard_ns *
+      (3.0 + 2.0 * static_cast<double>(probe.pool_threads) + 1.0) /
       static_cast<double>(probe.tasks);
   const double per_chunk_ns = chunk_guard_ns + amortized_ns;
   const double overhead_pct = 100.0 * per_chunk_ns / probe.bulk_ns;

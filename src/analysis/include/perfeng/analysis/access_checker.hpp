@@ -5,8 +5,9 @@
 ///
 /// The checker is a lockset-free race detector tailored to the one pattern
 /// the toolbox's `parallel_for` family promises: *chunks of one loop write
-/// disjoint ranges*. While installed (via `ScopedAccessCheck`), the
-/// parallel runtime announces every loop and chunk, and instrumented code
+/// disjoint ranges*. While installed (via `ScopedAccessCheck`) as the
+/// process-wide `TraceHook`, it takes loop and chunk boundaries from the
+/// runtime's loop/chunk events, and instrumented code
 /// — the shipped kernels via `pe::access_record`, student code via
 /// `checked_span` — announces the byte ranges each chunk reads and writes.
 /// `report()` then diffs the per-chunk interval sets and returns a
@@ -32,29 +33,29 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/analysis/race_report.hpp"
+#include "perfeng/common/trace_hook.hpp"
 
 namespace pe::analysis {
 
 /// Records chunk/interval provenance while installed as the process-wide
-/// AccessHook; thread-safe (chunks fire from pool workers). Install with
+/// TraceHook; thread-safe (chunks fire from pool workers). Install with
 /// `ScopedAccessCheck`, run the loops under test, then call `report()`.
-class AccessChecker final : public AccessHook {
+class AccessChecker final : public TraceHook {
  public:
-  AccessChecker() = default;
+  AccessChecker() noexcept : TraceHook(/*consumes_records=*/true) {}
 
-  // AccessHook interface (called by the runtime; not for direct use).
-  std::size_t begin_loop(std::size_t begin,
-                         std::size_t end) noexcept override;
-  void end_loop(std::size_t loop_token) noexcept override;
-  void begin_chunk(std::size_t loop_token, std::size_t lo, std::size_t hi,
-                   std::size_t lane) noexcept override;
-  void end_chunk() noexcept override;
+  // TraceHook interface (called by the runtime; not for direct use).
+  // Uses kLoopBegin/kLoopEnd/kChunkStart/kChunkFinish; ignores the rest.
+  void on_event(TraceEventKind kind, const void* obj, std::uint64_t a,
+                std::uint64_t b, std::size_t lane, const char* file,
+                std::uint32_t line) noexcept override;
   void record(const void* base, std::size_t lo_byte, std::size_t hi_byte,
               bool is_write, const char* tag, const char* file,
               unsigned line) noexcept override;
@@ -84,25 +85,32 @@ class AccessChecker final : public AccessHook {
     std::vector<Interval> intervals;
   };
 
-  /// Nesting prefix of one announced loop: the path of the chunk the
-  /// launching thread was executing when it called begin_loop (empty for
-  /// a top-level loop).
-  struct LoopInfo {
+  /// A loop between its kLoopBegin and kLoopEnd: its 1-based id and its
+  /// nesting prefix — the path of the chunk the launching thread was
+  /// executing at kLoopBegin (empty for a top-level loop).
+  struct LiveLoop {
+    std::size_t id;
     std::vector<ChunkStep> prefix;
   };
 
-  mutable std::mutex mutex_;        // guards chunks_/loops_/counters below
+  void begin_loop(const void* key);
+  void begin_chunk(const void* key, std::size_t lo, std::size_t hi,
+                   std::size_t lane);
+
+  mutable std::mutex mutex_;        // guards everything below but the
+                                    // atomic counter
   std::deque<ChunkLog> chunks_;     // deque: stable addresses for the
                                     // per-thread active-chunk stack
-  std::deque<LoopInfo> loop_infos_; // index = loop token - 1
+  std::unordered_map<const void*, LiveLoop> live_loops_;  // by loop key
   std::size_t next_chunk_ = 0;
   std::size_t loops_ = 0;
   std::atomic<std::size_t> unscoped_records_{0};
 };
 
-/// RAII installer: makes `checker` the process-wide AccessHook for the
-/// scope's lifetime. Only one hook may be active at a time (nesting
-/// throws pe::Error — overlapping checker scopes are a test bug).
+/// RAII installer: makes `checker` the process-wide TraceHook for the
+/// scope's lifetime. Only one hook may be active at a time: installing
+/// over any hook — another checker or a `pe::observe::Tracer` — throws
+/// pe::Error and leaves the installed one in place.
 class ScopedAccessCheck {
  public:
   explicit ScopedAccessCheck(AccessChecker& checker);

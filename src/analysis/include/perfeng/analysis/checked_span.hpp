@@ -2,8 +2,8 @@
 
 /// \file checked_span.hpp
 /// Shadow-access span for student kernels: records every element read and
-/// write through the installed AccessHook (no-op, one relaxed atomic load,
-/// when no checker is active), so wrapping a loop body's arrays in
+/// write through `pe::access_record` (no-op, one atomic load and a branch,
+/// when no checker is installed), so wrapping a loop body's arrays in
 /// `checked_span` is all it takes to race-lint a hand-written kernel:
 ///
 ///     pe::analysis::checked_span<double> y(out.data(), out.size(), "y");
@@ -18,8 +18,8 @@
 #include <source_location>
 #include <type_traits>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/trace_hook.hpp"
 
 namespace pe::analysis {
 
@@ -56,10 +56,8 @@ class checked_span {
   /// hand a whole sub-range to uninstrumented code (memcpy, BLAS, ...).
   void note(std::size_t lo, std::size_t hi, bool is_write) const {
     PE_ASSERT(lo <= hi && hi <= size_, "checked_span range out of bounds");
-    if (AccessHook* hook = ::pe::detail::access_hook_fast())
-      hook->record(data_, lo * sizeof(value_type), hi * sizeof(value_type),
-                   is_write, tag_, loc_.file_name(),
-                   static_cast<unsigned>(loc_.line()));
+    ::pe::access_record(data_, sizeof(value_type), lo, hi, is_write, tag_,
+                        loc_);
   }
 
   /// Element proxy: reads record on conversion, writes on assignment, and

@@ -26,44 +26,62 @@ std::string where_string(const char* file, unsigned line) {
 
 }  // namespace
 
-std::size_t AccessChecker::begin_loop(std::size_t /*begin*/,
-                                      std::size_t /*end*/) noexcept {
-  // begin_loop fires on the launching thread, so the innermost chunk on
-  // this thread's stack — if any — is the chunk the new loop is nested
-  // inside; its path becomes the new loop's prefix.
-  LoopInfo info;
-  if (!t_active_chunks.empty())
-    info.prefix =
-        static_cast<ChunkLog*>(t_active_chunks.back())->id.path;
-  std::lock_guard lock(mutex_);
-  ++loops_;
-  loop_infos_.push_back(std::move(info));
-  return loops_;  // 1-based token; 0 stays "no loop"
+void AccessChecker::on_event(TraceEventKind kind, const void* obj,
+                             std::uint64_t a, std::uint64_t b,
+                             std::size_t lane, const char* /*file*/,
+                             std::uint32_t /*line*/) noexcept {
+  switch (kind) {
+    case TraceEventKind::kLoopBegin:
+      begin_loop(obj);
+      break;
+    case TraceEventKind::kLoopEnd: {
+      std::lock_guard lock(mutex_);
+      live_loops_.erase(obj);
+      break;
+    }
+    case TraceEventKind::kChunkStart:
+      begin_chunk(obj, a, b, lane);
+      break;
+    case TraceEventKind::kChunkFinish:
+      if (!t_active_chunks.empty()) t_active_chunks.pop_back();
+      break;
+    default:
+      break;
+  }
 }
 
-void AccessChecker::end_loop(std::size_t /*loop_token*/) noexcept {}
+void AccessChecker::begin_loop(const void* key) {
+  // kLoopBegin fires on the launching thread, so the innermost chunk on
+  // this thread's stack — if any — is the chunk the new loop is nested
+  // inside; its path becomes the new loop's prefix.
+  LiveLoop loop;
+  if (!t_active_chunks.empty())
+    loop.prefix = static_cast<ChunkLog*>(t_active_chunks.back())->id.path;
+  std::lock_guard lock(mutex_);
+  loop.id = ++loops_;  // 1-based; 0 stays "no loop"
+  live_loops_.insert_or_assign(key, std::move(loop));
+}
 
-void AccessChecker::begin_chunk(std::size_t loop_token, std::size_t lo,
-                                std::size_t hi, std::size_t lane) noexcept {
+void AccessChecker::begin_chunk(const void* key, std::size_t lo,
+                                std::size_t hi, std::size_t lane) {
   ChunkLog* log = nullptr;
   {
     std::lock_guard lock(mutex_);
     chunks_.emplace_back();
     log = &chunks_.back();
-    log->id.loop = loop_token;
     log->id.index = next_chunk_++;
     log->id.lo = lo;
     log->id.hi = hi;
     log->id.lane = lane;
-    if (loop_token >= 1 && loop_token <= loop_infos_.size())
-      log->id.path = loop_infos_[loop_token - 1].prefix;
-    log->id.path.push_back({loop_token, log->id.index});
+    // A loop that began before the checker was installed has no id.
+    const auto it = live_loops_.find(key);
+    if (it != live_loops_.end()) {
+      log->id.loop = it->second.id;
+      log->id.path = it->second.prefix;
+    }
+    log->id.path.push_back({log->id.loop, log->id.index});
   }
   t_active_chunks.push_back(log);
-}
-
-void AccessChecker::end_chunk() noexcept {
-  if (!t_active_chunks.empty()) t_active_chunks.pop_back();
 }
 
 void AccessChecker::record(const void* base, std::size_t lo_byte,
@@ -77,7 +95,7 @@ void AccessChecker::record(const void* base, std::size_t lo_byte,
     return;
   }
   auto& log = *static_cast<ChunkLog*>(t_active_chunks.back());
-  // The log belongs to this thread until end_chunk, so no lock. Coalesce
+  // The log belongs to this thread until kChunkFinish, so no lock. Coalesce
   // with the previous interval when a sequential sweep extends it.
   if (!log.intervals.empty()) {
     Interval& last = log.intervals.back();
@@ -170,7 +188,7 @@ void AccessChecker::reset() {
   PE_REQUIRE(t_active_chunks.empty(),
              "reset while a chunk is active on this thread");
   chunks_.clear();
-  loop_infos_.clear();
+  live_loops_.clear();
   next_chunk_ = 0;
   loops_ = 0;
   unscoped_records_.store(0, std::memory_order_relaxed);
@@ -178,11 +196,11 @@ void AccessChecker::reset() {
 
 ScopedAccessCheck::ScopedAccessCheck(AccessChecker& checker)
     : checker_(checker) {
-  PE_REQUIRE(access_hook() == nullptr,
-             "another access hook is already installed");
-  set_access_hook(&checker_);
+  if (trace_hook() != nullptr)
+    throw Error("ScopedAccessCheck: a runtime hook is already installed");
+  set_trace_hook(&checker_);
 }
 
-ScopedAccessCheck::~ScopedAccessCheck() { set_access_hook(nullptr); }
+ScopedAccessCheck::~ScopedAccessCheck() { set_trace_hook(nullptr); }
 
 }  // namespace pe::analysis

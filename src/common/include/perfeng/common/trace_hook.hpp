@@ -1,19 +1,25 @@
 #pragma once
 
 /// \file trace_hook.hpp
-/// Process-wide scheduler-tracing hook points.
+/// The process-wide runtime hook: one instrumentation seam for the
+/// scheduler, the bulk-loop runtime and the kernels.
 ///
 /// The work-stealing pool is the hot substrate under every parallel kernel,
 /// but without observability it is a black box: where does worker time go,
-/// how long do tasks wait between submit and start, which locks and
-/// park/unpark cycles eat throughput? This hook mirrors fault_hook.hpp and
-/// access_hook.hpp: the scheduler and the bulk-loop runtime announce task
-/// lifecycle events (submit, steal, start, finish, park, unpark, contended
-/// lock acquisitions) and loop/chunk provenance, and all of it is a no-op
-/// costing one relaxed atomic load until a `TraceHook` — normally a
-/// `pe::observe::Tracer` — is installed. The hook lives here (not in
-/// perfeng_observe) so the thread pool and the loop runtime can host
-/// instrumentation points without a layering inversion.
+/// how long do tasks wait between submit and start, which chunks of which
+/// loop touched which bytes? The scheduler and the bulk-loop runtime
+/// announce task lifecycle events (submit, steal, start, finish, park,
+/// unpark, contended lock acquisitions) and loop/chunk provenance, and
+/// instrumented code announces the byte ranges each chunk touches
+/// (`access_record`). All of it is a no-op costing one atomic load and a
+/// branch until a `TraceHook` is installed — a `pe::observe::Tracer`
+/// (scheduler traces, flame graphs) or a `pe::analysis::AccessChecker`
+/// (race lint). One hook is installed at a time; both installers throw
+/// when the slot is taken. The hook lives here (not in perfeng_observe or
+/// perfeng_analysis) so the thread pool, the loop runtime and the kernels
+/// can host instrumentation points without a layering inversion. The
+/// fault hook (fault_hook.hpp) is separate: it throws and corrupts values,
+/// where this hook only observes.
 ///
 /// Emission sites on hot paths must go through the `PE_TRACE_EMIT` /
 /// `PE_TRACE_EMIT_SITE` guard macros — never call `on_event` directly —
@@ -23,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <source_location>
 
 namespace pe {
 
@@ -48,28 +55,58 @@ inline constexpr std::size_t kTraceEventKinds = 11;
 /// Human-readable event-kind name (stable, used by trace serialization).
 [[nodiscard]] const char* trace_event_kind_name(TraceEventKind kind) noexcept;
 
-/// Interface a tracer implements to observe scheduler events.
-/// Implementations must be thread-safe and wait-free on the emission path:
-/// events fire from worker threads inside dispatch loops, and a tracer
-/// that blocks would perturb exactly the behaviour it measures. The hook
-/// timestamps events itself (so tests can inject deterministic clocks).
+/// Interface a runtime hook implements to observe scheduler events and
+/// (optionally) access records. Implementations must be thread-safe and
+/// must not block on the emission path: events fire from worker threads
+/// inside dispatch loops, and a hook that blocks would perturb exactly the
+/// behaviour it measures. The hook timestamps events itself (so tests can
+/// inject deterministic clocks). Every method is noexcept —
+/// instrumentation must never alter the control flow of observed code.
 class TraceHook {
  public:
   virtual ~TraceHook() = default;
 
   /// One scheduler event on `lane`. `obj` is a correlation key (job arg or
   /// loop record address) valid only for matching events of one trace, not
-  /// for dereferencing. `a`/`b` carry kind-specific payload (chunk bounds,
-  /// broadcast copy counts). `file`/`line` locate the provenance site
-  /// (static storage duration; may be null/0 when the site has none).
+  /// for dereferencing; two live loops never share one. `a`/`b` carry
+  /// kind-specific payload (chunk bounds, broadcast copy counts).
+  /// `file`/`line` locate the provenance site (static storage duration;
+  /// may be null/0 when the site has none).
   virtual void on_event(TraceEventKind kind, const void* obj, std::uint64_t a,
                         std::uint64_t b, std::size_t lane, const char* file,
                         std::uint32_t line) noexcept = 0;
+
+  /// The calling thread's current chunk accessed bytes [lo_byte, hi_byte)
+  /// of the buffer identified by `base`. `tag` names the buffer in reports;
+  /// `file`/`line` locate the instrumentation site (or the `checked_span`
+  /// creation). Called only when `consumes_records()` is true.
+  virtual void record(const void* /*base*/, std::size_t /*lo_byte*/,
+                      std::size_t /*hi_byte*/, bool /*is_write*/,
+                      const char* /*tag*/, const char* /*file*/,
+                      unsigned /*line*/) noexcept {}
+
+  /// Whether `access_record` forwards to `record`. Fixed by the concrete
+  /// type at construction, so hooks that ignore records (the tracer) cost
+  /// the per-row records of instrumented kernels one branch, not a call.
+  [[nodiscard]] bool consumes_records() const noexcept {
+    return consumes_records_;
+  }
+
+ protected:
+  explicit TraceHook(bool consumes_records = false) noexcept
+      : consumes_records_(consumes_records) {}
+
+ private:
+  bool consumes_records_;
 };
 
 /// Install (or with nullptr, remove) the process-wide hook. The caller
 /// keeps ownership and must keep the hook alive until it is removed;
-/// `pe::observe::ScopedTrace` does both ends via RAII.
+/// `pe::observe::ScopedTrace` and `pe::analysis::ScopedAccessCheck` do
+/// both ends via RAII. Removing waits until every `PE_TRACE_EMIT` /
+/// `PE_TRACE_EMIT_SITE` emission that may still hold the old hook has
+/// returned — an idle worker may be parking just then — so the hook can
+/// be destroyed as soon as this returns.
 void set_trace_hook(TraceHook* hook) noexcept;
 
 /// Currently installed hook, or nullptr.
@@ -81,27 +118,44 @@ extern std::atomic<TraceHook*> g_trace_hook;
 [[nodiscard]] inline TraceHook* trace_hook_fast() noexcept {
   return g_trace_hook.load(std::memory_order_acquire);
 }
+
+/// Enabled path of the guard macros: delivers one event to the installed
+/// hook, if any, counted in flight so removing the hook waits for it.
+void emit_event(TraceEventKind kind, const void* obj, std::uint64_t a,
+                std::uint64_t b, std::size_t lane, const char* file,
+                std::uint32_t line) noexcept;
 }  // namespace detail
+
+/// Record that the current chunk touches elements [lo, hi) of the buffer
+/// at `base` whose elements are `elem_size` bytes; a no-op unless the
+/// installed hook consumes records. Call once per chunk at range
+/// granularity — the checker coalesces, but one call is cheaper.
+inline void access_record(
+    const void* base, std::size_t elem_size, std::size_t lo, std::size_t hi,
+    bool is_write, const char* tag,
+    std::source_location loc = std::source_location::current()) noexcept {
+  TraceHook* const hook = detail::trace_hook_fast();
+  if (hook != nullptr && hook->consumes_records())
+    hook->record(base, lo * elem_size, hi * elem_size, is_write, tag,
+                 loc.file_name(), static_cast<unsigned>(loc.line()));
+}
 
 }  // namespace pe
 
-/// Guarded trace emission: one acquire load + branch when no tracer is
+/// Guarded trace emission: one acquire load + branch when no hook is
 /// installed. The macro is the only sanctioned spelling on hot paths
 /// (perfeng-lint: trace-hook-guard); it exists so the guard cannot be
 /// forgotten and so emission sites are greppable.
-#define PE_TRACE_EMIT(kind, obj, a, b, lane)                                \
-  do {                                                                      \
-    if (::pe::TraceHook* pe_trace_hook_ = ::pe::detail::trace_hook_fast())  \
-      pe_trace_hook_->on_event((kind), (obj), (a), (b), (lane), nullptr, 0);\
-  } while (0)
+#define PE_TRACE_EMIT(kind, obj, a, b, lane) \
+  PE_TRACE_EMIT_SITE(kind, obj, a, b, lane, nullptr, 0)
 
 /// Guarded trace emission carrying a provenance site (file/line of the
 /// parallel_for call, for flame-graph frames).
-#define PE_TRACE_EMIT_SITE(kind, obj, a, b, lane, file, line)               \
-  do {                                                                      \
-    if (::pe::TraceHook* pe_trace_hook_ = ::pe::detail::trace_hook_fast())  \
-      pe_trace_hook_->on_event((kind), (obj), (a), (b), (lane), (file),     \
-                               (line));                                     \
+#define PE_TRACE_EMIT_SITE(kind, obj, a, b, lane, file, line)              \
+  do {                                                                     \
+    if (::pe::detail::trace_hook_fast() != nullptr)                       \
+      ::pe::detail::emit_event((kind), (obj), (a), (b), (lane), (file),    \
+                               (line));                                    \
   } while (0)
 
 /// Guarded emission through a hook pointer the caller loaded once (with
@@ -109,8 +163,10 @@ extern std::atomic<TraceHook*> g_trace_hook;
 /// per-chunk spelling inside dispatch loops, where paying the atomic load
 /// per chunk would dominate the disabled path. The disabled cost here is a
 /// single predictable branch on a register. A hook installed mid-loop is
-/// picked up at the next load site; loops never outlive a `ScopedTrace`
-/// by contract.
+/// picked up at the next load site. These emissions are not counted in
+/// flight: they run inside jobs and loops that whoever removes the hook
+/// has already waited for (loops never outlive a `ScopedTrace` or a
+/// `ScopedAccessCheck`, by contract).
 #define PE_TRACE_EMIT_CACHED(hook, kind, obj, a, b, lane, file, line)       \
   do {                                                                      \
     if ((hook) != nullptr)                                                  \

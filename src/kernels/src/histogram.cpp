@@ -3,9 +3,9 @@
 #include <atomic>
 #include <numeric>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/aligned_buffer.hpp"
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/trace_hook.hpp"
 #include "perfeng/parallel/parallel_for.hpp"
 
 namespace pe::kernels {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/aligned_buffer.hpp"
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/trace_hook.hpp"
 #include "perfeng/machine/machine.hpp"
 #include "perfeng/parallel/parallel_for.hpp"
 #include "perfeng/simd/vec.hpp"

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <set>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/trace_hook.hpp"
 #include "perfeng/parallel/parallel_for.hpp"
 #include "perfeng/simd/vec.hpp"
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/trace_hook.hpp"
 #include "perfeng/parallel/parallel_for.hpp"
 
 namespace pe::kernels {

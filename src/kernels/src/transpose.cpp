@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/trace_hook.hpp"
 #include "perfeng/parallel/parallel_for.hpp"
 
 namespace pe::kernels {

@@ -7,7 +7,7 @@
 /// observation, uninstall, then `take()` the captured `Trace`. Emission is
 /// wait-free — one claim `fetch_add` plus one release store into the
 /// emitting lane's private ring — so tracing stays on during measurement
-/// runs; the disabled path (no hook installed) is one relaxed atomic load
+/// runs; the disabled path (no hook installed) is one atomic load
 /// and a branch at each site (measure it with `bench/scheduler_trace
 /// --check`).
 ///
@@ -92,8 +92,9 @@ class Tracer final : public TraceHook {
 };
 
 /// RAII installer: makes `tracer` the process-wide TraceHook for the
-/// scope's lifetime. Only one hook may be active at a time (nesting
-/// throws pe::Error — overlapping trace scopes are a harness bug).
+/// scope's lifetime. Only one hook may be active at a time: installing
+/// over any hook — another tracer or a `pe::analysis::AccessChecker` —
+/// throws pe::Error and leaves the installed one in place.
 class ScopedTrace {
  public:
   explicit ScopedTrace(Tracer& tracer);

@@ -126,7 +126,7 @@ void Tracer::reset() noexcept {
 
 ScopedTrace::ScopedTrace(Tracer& tracer) : tracer_(tracer) {
   if (trace_hook() != nullptr)
-    throw Error("ScopedTrace: a trace hook is already installed");
+    throw Error("ScopedTrace: a runtime hook is already installed");
   set_trace_hook(&tracer_);
 }
 

@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "perfeng/common/access_hook.hpp"
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/parallel/thread_pool.hpp"
@@ -76,7 +75,6 @@ struct BulkLoop {
   const std::size_t parts;  ///< static block count
   const std::size_t lanes;  ///< executors: workers + submitting thread
   const std::size_t limit;  ///< cursor bound (parts or n); cancel target
-  const std::size_t loop_token;  ///< race-checker loop identity (0 = none)
   const char* file;         ///< submitting call site, for trace provenance
   const std::uint32_t line;
 
@@ -87,8 +85,8 @@ struct BulkLoop {
   std::exception_ptr error;
 
   BulkLoop(std::size_t begin_, std::size_t n_, ChunkFn& fn, Schedule sched,
-           std::size_t grain_, std::size_t workers, std::size_t loop_token_,
-           const char* file_, std::uint32_t line_)
+           std::size_t grain_, std::size_t workers, const char* file_,
+           std::uint32_t line_)
       : begin(begin_),
         n(n_),
         chunk_fn(fn),
@@ -97,7 +95,6 @@ struct BulkLoop {
         parts(std::min(workers, n_)),
         lanes(workers + 1),
         limit(sched == Schedule::kStatic ? std::min(workers, n_) : n_),
-        loop_token(loop_token_),
         file(file_),
         line(line_) {}
 
@@ -148,15 +145,13 @@ struct BulkLoop {
     // One hook load per claimed job copy, amortized over all its chunks:
     // the disabled per-chunk cost is two register branches, not two atomic
     // loads (bench/scheduler_trace --check holds this under 2% of chunk
-    // dispatch).
+    // dispatch). The chunk events tell an installed tracer or race
+    // checker which [lo, hi) this thread claims; kChunkFinish fires even
+    // when the body throws.
     TraceHook* const trace = detail::trace_hook_fast();
     for (;;) {
       const auto [lo, hi] = claim();
       if (lo >= hi) return;
-      // The chunk scope tells an installed race checker (see
-      // perfeng/analysis) which [lo, hi) this thread claims; a no-op
-      // otherwise. RAII so the announcement closes even on a throw.
-      AccessChunkScope scope(loop_token, lo, hi, lane);
       PE_TRACE_EMIT_CACHED(trace, TraceEventKind::kChunkStart, this, lo, hi,
                            lane, file, line);
       try {
@@ -174,28 +169,12 @@ struct BulkLoop {
   static void run(void* arg, std::size_t lane) {
     auto& loop = *static_cast<BulkLoop*>(arg);
     loop.execute(lane);
+    // Close this copy's trace before retiring it: once `retired` reaches
+    // the copy count the submitter may return and uninstall the hook.
+    ThreadPool::trace_task_finish();
     loop.retired.fetch_add(1, std::memory_order_release);
     loop.retired.notify_one();
   }
-};
-
-/// RAII loop announcement for an installed race checker. The checker
-/// hands back a loop token tying every chunk to this loop; because
-/// `begin_loop` fires on the launching thread — inside the launching
-/// chunk, for a nested loop — the checker can reconstruct the full
-/// loop-nesting path and diff inner loops launched from concurrent outer
-/// chunks against each other (see docs/analysis.md).
-struct AccessLoopScope {
-  AccessLoopScope(std::size_t begin, std::size_t end) noexcept
-      : token_(access_begin_loop(begin, end)) {}
-  ~AccessLoopScope() { access_end_loop(token_); }
-  AccessLoopScope(const AccessLoopScope&) = delete;
-  AccessLoopScope& operator=(const AccessLoopScope&) = delete;
-
-  [[nodiscard]] std::size_t token() const noexcept { return token_; }
-
- private:
-  std::size_t token_;
 };
 
 /// Drive one bulk loop to completion: broadcast, participate, reclaim
@@ -206,25 +185,32 @@ void run_bulk(ThreadPool& pool, std::size_t begin, std::size_t end,
               std::source_location loc = std::source_location::current()) {
   const std::size_t n = end - begin;
   const std::size_t workers = pool.size();
-  AccessLoopScope loop_scope(begin, end);
   if (workers == 1 || n == 1) {
     // Inline: a 1-worker pool (or a single chunk) gains nothing from
     // dispatch, and inline execution keeps iteration order sequential.
+    // The loop key is this call's own `loc` parameter, so no other live
+    // loop shares it (the body object may be shared across calls).
     const std::size_t lane = pool.this_lane();
-    AccessChunkScope scope(loop_scope.token(), begin, end, lane);
-    PE_TRACE_EMIT_SITE(TraceEventKind::kLoopBegin, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
-    PE_TRACE_EMIT_SITE(TraceEventKind::kChunkStart, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
-    chunk_fn(begin, end, lane);
-    PE_TRACE_EMIT_SITE(TraceEventKind::kChunkFinish, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
-    PE_TRACE_EMIT_SITE(TraceEventKind::kLoopEnd, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
+    TraceHook* const trace = detail::trace_hook_fast();
+    const auto emit = [&](TraceEventKind kind) {
+      PE_TRACE_EMIT_CACHED(trace, kind, &loc, begin, end, lane,
+                           loc.file_name(), loc.line());
+    };
+    emit(TraceEventKind::kLoopBegin);
+    emit(TraceEventKind::kChunkStart);
+    try {
+      chunk_fn(begin, end, lane);
+    } catch (...) {
+      emit(TraceEventKind::kChunkFinish);
+      emit(TraceEventKind::kLoopEnd);
+      throw;
+    }
+    emit(TraceEventKind::kChunkFinish);
+    emit(TraceEventKind::kLoopEnd);
     return;
   }
   BulkLoop<ChunkFn> loop(begin, n, chunk_fn, schedule, grain, workers,
-                         loop_scope.token(), loc.file_name(), loc.line());
+                         loc.file_name(), loc.line());
   PE_TRACE_EMIT_SITE(TraceEventKind::kLoopBegin, &loop, begin, end,
                      pool.this_lane(), loc.file_name(), loc.line());
   const std::size_t pushed =

@@ -87,7 +87,13 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto* task = new std::packaged_task<R()>(std::forward<F>(fn));
+    // The wrapper closes the task's trace before the packaged task makes
+    // the future ready, so no submitter returns from `get()` ahead of it.
+    auto* task = new std::packaged_task<R()>(
+        [fn = std::forward<F>(fn)]() mutable -> R {
+          const FinishTraceOnExit finish;
+          return fn();
+        });
     std::future<R> result = task->get_future();
     try {
       enqueue(Job{&run_packaged<R>, task});
@@ -127,6 +133,13 @@ class ThreadPool {
   /// (accumulators, private tables, pack buffers) should be sized
   /// `size() + 1` so external participants get the last slot.
   [[nodiscard]] std::size_t this_lane() const noexcept;
+
+  /// Emit the running job's kTaskFinish now, if it is still owed. Job
+  /// functions call this just before they publish completion (ready a
+  /// future, retire a bulk copy): once the submitter sees completion it may
+  /// uninstall the hook, and the event would be lost. The worker emits it
+  /// after the job returns otherwise; a no-op outside a pool job.
+  static void trace_task_finish() noexcept;
 
   /// Default worker count: hardware_concurrency with a floor of 1.
   static std::size_t default_thread_count();
@@ -171,6 +184,13 @@ class ThreadPool {
     std::mutex pinned_mu;
     std::deque<Job> pinned;
     std::thread thread;
+  };
+
+  struct FinishTraceOnExit {
+    FinishTraceOnExit() = default;
+    FinishTraceOnExit(const FinishTraceOnExit&) = delete;
+    FinishTraceOnExit& operator=(const FinishTraceOnExit&) = delete;
+    ~FinishTraceOnExit() { trace_task_finish(); }
   };
 
   template <typename R>

@@ -38,6 +38,15 @@ struct WorkerIdentity {
 };
 thread_local WorkerIdentity t_worker;
 
+/// The job this thread is running, and whether its kTaskFinish is still
+/// owed (its kTaskStart went to an installed hook and no finish has been
+/// emitted yet; see ThreadPool::trace_task_finish).
+struct OpenTask {
+  const void* arg = nullptr;
+  bool finish_owed = false;
+};
+thread_local OpenTask t_open_task;
+
 /// Per-thread xorshift for randomized victim selection; cheaper and less
 /// contended than a shared RNG, and stealing needs no reproducibility.
 std::size_t next_victim_seed() {
@@ -271,13 +280,23 @@ void ThreadPool::run_job(Job job) noexcept {
   // Packaged tasks carry their exceptions through the future and bulk jobs
   // capture theirs in the loop record; anything that escapes anyway must
   // not take down this worker.
-  PE_TRACE_EMIT(TraceEventKind::kTaskStart, job.arg, 0, 0, t_worker.index);
+  TraceHook* const trace = detail::trace_hook_fast();
+  PE_TRACE_EMIT_CACHED(trace, TraceEventKind::kTaskStart, job.arg, 0, 0,
+                       t_worker.index, nullptr, 0);
+  t_open_task = {job.arg, trace != nullptr};
   try {
     job.fn(job.arg, t_worker.index);
   } catch (...) {
     escaped_exceptions_.fetch_add(1, std::memory_order_relaxed);
   }
-  PE_TRACE_EMIT(TraceEventKind::kTaskFinish, job.arg, 0, 0, t_worker.index);
+  trace_task_finish();  // no-op when the job already closed its trace
+}
+
+void ThreadPool::trace_task_finish() noexcept {
+  if (!t_open_task.finish_owed) return;
+  t_open_task.finish_owed = false;
+  PE_TRACE_EMIT(TraceEventKind::kTaskFinish, t_open_task.arg, 0, 0,
+                t_worker.index);
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
@@ -346,6 +365,7 @@ void ThreadPool::run_on_all(const std::function<void(std::size_t)>& fn) {
                     if (!s.first_error)
                       s.first_error = std::current_exception();
                   }
+                  trace_task_finish();
                   s.remaining.fetch_sub(1, std::memory_order_release);
                   s.remaining.notify_one();
                 },

@@ -1,7 +1,8 @@
 // Tests for the pe::analysis race lint: overlapping-write detection with
 // exact chunk provenance, the false-positive guard (disjoint partitions
 // report clean), the reduce-ordered tree access pattern, checked_span
-// semantics, and a chaos-labelled FaultInjector + checker combination.
+// semantics, the one-slot rule shared with the tracer, and a
+// chaos-labelled FaultInjector + checker combination.
 #include "perfeng/analysis/access_checker.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "perfeng/analysis/checked_span.hpp"
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/fault_hook.hpp"
+#include "perfeng/common/trace_hook.hpp"
+#include "perfeng/observe/tracer.hpp"
 #include "perfeng/parallel/parallel_for.hpp"
 #include "perfeng/resilience/fault_injection.hpp"
 
@@ -327,6 +330,82 @@ TEST(AccessChecker, NestedScopesAreRejected) {
   AccessChecker b;
   ScopedAccessCheck guard(a);
   EXPECT_THROW(ScopedAccessCheck inner(b), pe::Error);
+}
+
+// Regression: the inline path (1-worker pool or a single chunk) used to
+// drop kChunkFinish and kLoopEnd when the body threw, leaving the dead
+// chunk on this thread's active-chunk stack.
+TEST(AccessChecker, InlineLoopThatThrowsClosesItsChunk) {
+  pe::ThreadPool single(1);
+  std::vector<double> buf(64, 0.0);
+  AccessChecker checker;
+  {
+    ScopedAccessCheck guard(checker);
+    checked_span<double> span(buf.data(), buf.size(), "buf");
+    EXPECT_THROW(pe::parallel_for_chunks(
+                     single, 0, 8,
+                     [&](std::size_t lo, std::size_t hi, std::size_t) {
+                       span.note(lo, hi, /*is_write=*/true);
+                       throw pe::Error("body failed");
+                     }),
+                 pe::Error);
+  }
+  EXPECT_EQ(checker.report().chunks, 1u);
+  EXPECT_NO_THROW(checker.reset());
+
+  pe::ThreadPool pool(2);
+  {
+    ScopedAccessCheck guard(checker);
+    checked_span<double> span(buf.data(), buf.size(), "buf");
+    pe::parallel_for_chunks(
+        pool, 0, buf.size(),
+        [&](std::size_t lo, std::size_t hi, std::size_t) {
+          span.note(lo, hi, /*is_write=*/true);
+        });
+    span[0] = 1.0;  // after the loop: sequential, in no chunk
+  }
+  const RaceReport report = checker.report();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.loops, 1u);
+  EXPECT_EQ(report.unscoped_records, 1u);
+}
+
+// One runtime hook slot: the checker and the tracer cannot be installed
+// together, and the losing installer leaves the first hook recording.
+TEST(AccessChecker, InstallingOverATracerThrowsAndKeepsTheTracer) {
+  pe::ThreadPool pool(2);
+  pe::observe::Tracer tracer;
+  AccessChecker checker;
+  {
+    pe::observe::ScopedTrace scope(tracer);
+    EXPECT_THROW(ScopedAccessCheck guard(checker), pe::Error);
+    EXPECT_EQ(pe::trace_hook(), &tracer);
+    pe::parallel_for(pool, 0, 64, [](std::size_t) {});
+  }
+  EXPECT_EQ(pe::trace_hook(), nullptr);
+  EXPECT_EQ(tracer.take().count(pe::TraceEventKind::kLoopBegin), 1u);
+  EXPECT_EQ(checker.report().loops, 0u);
+}
+
+TEST(AccessChecker, TracerInstalledOverACheckerThrowsAndKeepsTheChecker) {
+  pe::ThreadPool pool(2);
+  std::vector<double> out(64, 0.0);
+  pe::observe::Tracer tracer;
+  AccessChecker checker;
+  {
+    ScopedAccessCheck guard(checker);
+    EXPECT_THROW(pe::observe::ScopedTrace scope(tracer), pe::Error);
+    EXPECT_EQ(pe::trace_hook(), &checker);
+    checked_span<double> span(out.data(), out.size(), "out");
+    pe::parallel_for(pool, 0, out.size(),
+                     [&](std::size_t i) { span[i] = 1.0; });
+  }
+  EXPECT_EQ(pe::trace_hook(), nullptr);
+  const RaceReport report = checker.report();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.loops, 1u);
+  EXPECT_GE(report.intervals, 1u);
+  EXPECT_TRUE(tracer.take().events.empty());
 }
 
 TEST(CheckedSpan, ProxyReadsWritesAndCompoundAssign) {

@@ -1,8 +1,8 @@
 // Tests for the pe::lint static-analysis subsystem: the comment/string/
 // raw-string-aware lexer, the declared-DAG repo model, the three
-// whole-program passes against seeded positive/negative fixture twins
-// (tests/lint_fixtures/), the waiver grammar, the baseline diff, and the
-// SARIF 2.1.0 render shape.
+// whole-program passes and the trace-hook guard against seeded
+// positive/negative fixture twins (tests/lint_fixtures/), the waiver
+// grammar, the baseline diff, and the SARIF 2.1.0 render shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,6 +207,23 @@ TEST(LintWaitLoop, FlagsBackoffFreeSpinsAndClearsYieldingTwin) {
 
   const auto clean = lint_fixture("clean", {"wait-loop"});
   EXPECT_TRUE(with_rule(clean, "wait-loop").empty())
+      << pe::lint::render_text(clean.findings, clean.files_scanned);
+}
+
+TEST(LintTraceHookGuard, FlagsDirectOnEventCallsAndClearsMacroTwin) {
+  const auto bad = lint_fixture("bad", {"trace-hook-guard"});
+  const auto findings = with_rule(bad, "trace-hook-guard");
+  // Both the pointer call and the reference call in emit.cpp.
+  ASSERT_EQ(findings.size(), 2u);
+  for (const Finding& f : findings) {
+    EXPECT_EQ(f.file, "src/alpha/src/emit.cpp");
+    EXPECT_EQ(f.severity, Severity::kError);
+  }
+
+  // The macro spelling is clean, and so is the runtime hook header that
+  // defines it.
+  const auto clean = lint_fixture("clean", {"trace-hook-guard"});
+  EXPECT_TRUE(with_rule(clean, "trace-hook-guard").empty())
       << pe::lint::render_text(clean.findings, clean.files_scanned);
 }
 

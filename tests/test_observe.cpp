@@ -114,6 +114,34 @@ TEST(TracerTest, ScopedTraceInstallsAndRemovesTheHook) {
   EXPECT_EQ(pe::trace_hook(), nullptr);
 }
 
+// Regression: the inline path (1-worker pool or a single chunk) used to
+// drop kChunkFinish and kLoopEnd when the body threw, so the sampling
+// profiler kept charging time to the dead chunk.
+TEST(TracerTest, InlineLoopThatThrowsStillPairsItsEvents) {
+  pe::ThreadPool pool(1);
+  TracerConfig cfg;
+  cfg.lanes = pool.size() + 1;
+  Tracer tracer(cfg);
+  {
+    pe::observe::ScopedTrace scope(tracer);
+    EXPECT_THROW(pe::parallel_for_chunks(
+                     pool, 0, 8,
+                     [](std::size_t, std::size_t, std::size_t) {
+                       throw pe::Error("body failed");
+                     }),
+                 pe::Error);
+  }
+  const Trace trace = tracer.take();
+  EXPECT_EQ(trace.count(TraceEventKind::kLoopBegin), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::kLoopEnd), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::kChunkStart), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::kChunkFinish), 1u);
+  const pe::observe::LaneActivity& act = tracer.activity(pool.this_lane());
+  EXPECT_EQ(act.file.load(), nullptr);
+  EXPECT_EQ(act.lo.load(), 0u);
+  EXPECT_EQ(act.hi.load(), 0u);
+}
+
 TEST(TracerTest, OutOfRangeLanesShareTheLastRing) {
   TracerConfig cfg;
   cfg.lanes = 2;
