@@ -31,12 +31,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
 #include "perfeng/kernels/matmul.hpp"
@@ -63,15 +63,6 @@ using comp::NodePtr;
 using pe::models::Evaluation;
 using pe::models::ModelEval;
 
-int g_violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "CHECK FAILED: %s\n", what);
-    ++g_violations;
-  }
-}
-
 /// One validated scenario row: the prediction, the ground truth, and the
 /// band the comparison must stay inside.
 struct Scenario {
@@ -84,19 +75,6 @@ struct Scenario {
 };
 
 std::vector<Scenario> g_scenarios;
-
-void record(const std::string& name, double predicted, double measured,
-            double band = 2.0) {
-  g_scenarios.push_back({name, predicted, measured, band});
-  const double r = measured / predicted;
-  if (!(predicted > 0.0 && r >= 1.0 / band && r <= band)) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: %s: measured/predicted = %.3f outside "
-                 "[%.3f, %.3f]\n",
-                 name.c_str(), r, 1.0 / band, band);
-    ++g_violations;
-  }
-}
 
 /// Median of a few repetitions — robust against one preempted run.
 double median_seconds(int reps, const std::function<void()>& fn) {
@@ -129,7 +107,8 @@ unsigned hardware_width() {
 }
 
 /// Scenario 1: map of matmul tiles over parallel_for, under a trace.
-void validate_map(pe::ThreadPool& pool, Context ctx) {
+void validate_map(pe::ThreadPool& pool, Context ctx,
+                  pe::bench::Gate& gate) {
   // parallel_for's bulk path executes chunks on the submitting thread
   // too, so the effective width is one more than the pool's workers.
   ctx.workers = std::min(static_cast<unsigned>(pool.size()) + 1,
@@ -161,12 +140,13 @@ void validate_map(pe::ThreadPool& pool, Context ctx) {
     });
   }
   const pe::observe::Trace trace = tracer.take();
-  check(trace.recorded > 0, "map runs produced no scheduler trace events");
+  gate.expect(trace.recorded > 0,
+              "map runs produced no scheduler trace events");
 
   std::printf("map: %zu tiles of %zux%zu, leaf %s, %llu trace events\n",
               tiles, n, n, pe::format_time(tile_seconds).c_str(),
               static_cast<unsigned long long>(trace.recorded));
-  record("map.matmul_tiles", p.seconds, measured);
+  g_scenarios.push_back({"map.matmul_tiles", p.seconds, measured});
 }
 
 /// Scenario 2: farm of matmul jobs through the submit/future path.
@@ -200,7 +180,7 @@ void validate_farm(pe::ThreadPool& pool, Context ctx) {
   });
 
   std::printf("farm: %zu jobs over %zu replicas\n", jobs, pool.size());
-  record("farm.matmul_jobs", p.seconds, measured);
+  g_scenarios.push_back({"farm.matmul_jobs", p.seconds, measured});
 }
 
 /// Scenario 3: a real three-stage software pipeline — stage threads,
@@ -263,7 +243,7 @@ void validate_pipeline(Context ctx) {
               pe::format_time(stage_seconds[0]).c_str(),
               pe::format_time(stage_seconds[1]).c_str(),
               pe::format_time(stage_seconds[2]).c_str());
-  record("pipeline.three_stage", p.seconds, measured);
+  g_scenarios.push_back({"pipeline.three_stage", p.seconds, measured});
 }
 
 /// Scenario 4a: distributed pipeline against the message-network
@@ -297,7 +277,8 @@ void validate_netsim(const Context& base) {
   std::printf("netsim: %zu items over 3 ranks, %llu messages simulated\n",
               items,
               static_cast<unsigned long long>(net.messages_sent()));
-  record("sim.distributed_pipeline", p.seconds, simulated, 1.25);
+  g_scenarios.push_back(
+      {"sim.distributed_pipeline", p.seconds, simulated, 1.25});
 }
 
 /// Scenario 4b: heterogeneous job map against a DES list scheduler.
@@ -329,11 +310,11 @@ void validate_des(const Context& base) {
 
   std::printf("des: %zu heterogeneous jobs over %u servers\n", jobs,
               replicas);
-  record("sim.farm_list_schedule", p.seconds, makespan, 1.25);
+  g_scenarios.push_back({"sim.farm_list_schedule", p.seconds, makespan, 1.25});
 }
 
 /// Scenario 5a: the wait+service pipeline reproduces M/M/c exactly.
-void validate_queuing_identity() {
+void validate_queuing_identity(pe::bench::Gate& gate) {
   const pe::models::ServiceModel svc{100.0, 4};
   const double lambda = 250.0;
   const NodePtr campaign = comp::pipeline(
@@ -344,14 +325,15 @@ void validate_queuing_identity() {
   std::printf("queuing: composed response %s vs M/M/c %s\n",
               pe::format_time(predicted).c_str(),
               pe::format_time(closed_form).c_str());
-  check(std::abs(predicted - closed_form) <= 1e-12 * closed_form,
-        "wait+service pipeline must equal the M/M/c closed form");
-  record("service.mmc_identity", predicted, closed_form, 1.001);
+  gate.expect(std::abs(predicted - closed_form) <= 1e-12 * closed_form,
+              "wait+service pipeline must equal the M/M/c closed form");
+  g_scenarios.push_back(
+      {"service.mmc_identity", predicted, closed_form, 1.001});
 }
 
 /// Scenario 5b: a measured batch submission campaign on pe::service,
 /// predicted as a farm over one calibrated submission leaf.
-void validate_service_campaign() {
+void validate_service_campaign(pe::bench::Gate& gate) {
   const std::size_t workers = 2;
   const std::size_t jobs = 32;
   const double kernel_seconds = 300e-6;
@@ -413,29 +395,18 @@ void validate_service_campaign() {
     completed += o.get().state == pe::service::TerminalState::kCompleted;
   const double measured = timer.elapsed();
 
-  check(completed == jobs, "batch campaign must complete every job");
+  gate.expect(completed == jobs, "batch campaign must complete every job");
   std::printf("service: %zu submissions over %zu workers, calibrated %s "
               "per submission\n",
               jobs, workers, pe::format_time(service_seconds).c_str());
-  record("service.batch_campaign", predicted, measured);
+  g_scenarios.push_back({"service.batch_campaign", predicted, measured});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check_mode = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check_mode = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--check] [--json <path>]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck | pe::bench::kJson);
 
   std::puts("== Compositional model validation: trees vs machine, "
             "simulators, service ==\n");
@@ -460,13 +431,14 @@ int main(int argc, char** argv) {
               pe::format_time(ctx.dispatch_seconds).c_str(),
               machine.calibration_hash().c_str());
 
-  validate_map(pool, ctx);
+  pe::bench::Gate gate(cli.check);
+  validate_map(pool, ctx, gate);
   validate_farm(pool, ctx);
   validate_pipeline(ctx);
   validate_netsim(ctx);
   validate_des(ctx);
-  validate_queuing_identity();
-  validate_service_campaign();
+  validate_queuing_identity(gate);
+  validate_service_campaign(gate);
 
   pe::Table table({"scenario", "predicted", "measured", "ratio", "band"});
   for (const auto& s : g_scenarios)
@@ -476,7 +448,14 @@ int main(int argc, char** argv) {
                    pe::format_fixed(s.band, 2) + "x"});
   std::printf("\n%s", table.render().c_str());
 
-  if (!json_path.empty()) {
+  for (const auto& [name, predicted, measured, band] : g_scenarios) {
+    const double r = measured / predicted;
+    gate.expect(predicted > 0.0 && r >= 1.0 / band && r <= band,
+                "%s: measured/predicted = %.3f outside [%.3f, %.3f]",
+                name.c_str(), r, 1.0 / band, band);
+  }
+
+  if (!cli.json_path.empty()) {
     pe::BenchReport report("composition_validate");
     report.set_machine(machine);
     report.set_context("pool_threads", static_cast<double>(pool.size()));
@@ -487,23 +466,7 @@ int main(int argc, char** argv) {
       report.add_scalar(s.name + ".measured_s", "s", s.measured);
       report.add_scalar(s.name + ".ratio", "ratio", s.ratio());
     }
-    try {
-      report.save_file(json_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::printf("\nsnapshot written to %s\n", json_path.c_str());
+    pe::bench::save_snapshot(report, cli.json_path);
   }
-
-  if (check_mode) {
-    if (g_violations > 0) {
-      std::printf("\nCHECK FAILED: %d violation(s)\n", g_violations);
-      return 1;
-    }
-    std::printf("\nCHECK OK: %zu scenarios within their bands\n",
-                g_scenarios.size());
-  }
-  return 0;
+  return gate.finish();
 }

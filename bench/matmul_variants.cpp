@@ -15,6 +15,7 @@
 #include <functional>
 #include <string>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/rng.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
@@ -27,18 +28,8 @@
 #include "perfeng/simd/vec.hpp"
 
 int main(int argc, char** argv) {
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--check] [--json <path>]\n", argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck | pe::bench::kJson);
 
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 1;
@@ -127,35 +118,16 @@ int main(int argc, char** argv) {
   report.add_scalar("packed_speedup_vs_naive", "ratio", speedup);
   report.add_scalar("worst_abs_diff_vs_naive", "1", worst_diff);
 
-  if (!json_path.empty()) {
-    try {
-      report.save_file(json_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::printf("snapshot written to %s\n", json_path.c_str());
-  }
+  if (!cli.json_path.empty()) pe::bench::save_snapshot(report, cli.json_path);
 
-  if (check) {
-    // ULP envelope: inputs in [-1,1], dot length 256 -> reassociation
-    // error ~1e-14; 1e-10 leaves margin yet catches any packing or
-    // indexing bug outright.
-    if (!(worst_diff <= 1e-10)) {
-      std::printf("CHECK FAILED: |ladder - naive| = %.3e > 1e-10\n",
-                  worst_diff);
-      return 1;
-    }
-    // The packed+SIMD path must beat naive decisively even on one core;
-    // 1.4x is far below what AVX2 delivers but above scheduling noise.
-    if (!(speedup >= 1.4)) {
-      std::printf("CHECK FAILED: packed speedup %.2fx < 1.4x\n", speedup);
-      return 1;
-    }
-    std::printf(
-        "CHECK OK: packed %.2fx faster, diff %.3e within envelope\n",
-        speedup, worst_diff);
-  }
-  return 0;
+  pe::bench::Gate gate(cli.check);
+  // ULP envelope: inputs in [-1,1], dot length 256 -> reassociation
+  // error ~1e-14; 1e-10 leaves margin yet catches any packing or
+  // indexing bug outright.
+  gate.expect(worst_diff <= 1e-10, "|ladder - naive| = %.3e > 1e-10",
+              worst_diff);
+  // The packed+SIMD path must beat naive decisively even on one core;
+  // 1.4x is far below what AVX2 delivers but above scheduling noise.
+  gate.expect(speedup >= 1.4, "packed speedup %.2fx < 1.4x", speedup);
+  return gate.finish();
 }

@@ -8,19 +8,16 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/measure/bench_json.hpp"
 #include "perfeng/models/queuing.hpp"
 #include "perfeng/sim/queue_sim.hpp"
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
+  const pe::bench::Cli cli = pe::bench::parse_cli(argc, argv, pe::bench::kJson);
 
   std::puts("== Queuing theory: closed forms vs discrete-event simulation "
             "==\n");
@@ -108,14 +105,13 @@ int main(int argc, char** argv) {
       "within sampling\nerror at every rho; waits explode as rho -> 1; "
       "M/D/1 waits are half of M/M/1.");
 
-  if (!json_path.empty()) {
+  if (!cli.json_path.empty()) {
     report.add_scalar("littles_law.occupancy", "jobs",
                       pe::models::littles_law_occupancy(0.7,
                                                         m.mean_response));
     report.add_scalar("interactive.response_s", "s",
                       pe::models::interactive_response_time(20.0, 2.0, 5.0));
-    report.save_file(json_path);
-    std::printf("\nsnapshot written to %s\n", json_path.c_str());
+    pe::bench::save_snapshot(report, cli.json_path);
   }
   return 0;
 }

@@ -9,9 +9,9 @@
 // per-repetition sample distributions, not just the medians the table
 // shows) for bench/snapshots/.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
 #include "perfeng/kernels/stencil.hpp"
@@ -21,10 +21,7 @@
 #include "perfeng/models/scaling.hpp"
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
+  const pe::bench::Cli cli = pe::bench::parse_cli(argc, argv, pe::bench::kJson);
 
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 1;
@@ -96,10 +93,9 @@ int main(int argc, char** argv) {
       "contention/coherence\nterms explain retrograde scaling that Amdahl "
       "cannot.");
 
-  if (!json_path.empty()) {
+  if (!cli.json_path.empty()) {
     pe::BenchReport report("scaling_laws");
     report.set_machine(pe::machine::resolve_or_preset("laptop-x86"));
-    report.set_context("hardware_threads", double(hw));
     report.set_context("grid_rows", double(rows));
     report.set_context("grid_cols", double(cols));
     report.set_context("repetitions", double(cfg.repetitions));
@@ -118,8 +114,7 @@ int main(int argc, char** argv) {
       report.add_scalar("usl_fit.peak_workers", "workers",
                         pe::models::usl_peak_workers(fit.sigma, fit.kappa));
     }
-    report.save_file(json_path);
-    std::printf("\nsnapshot written to %s\n", json_path.c_str());
+    pe::bench::save_snapshot(report, cli.json_path);
   }
   return 0;
 }

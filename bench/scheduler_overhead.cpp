@@ -10,9 +10,8 @@
 // snapshot checked in at bench/snapshots/BENCH_scheduler.json in the
 // uniform pe-bench-v1 schema (machine hash + full sample distributions).
 #include <cstdio>
-#include <cstring>
-#include <string>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/machine/machine.hpp"
 #include "perfeng/machine/registry.hpp"
@@ -20,18 +19,8 @@
 #include "perfeng/microbench/scheduler.hpp"
 
 int main(int argc, char** argv) {
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--check] [--json <path>]\n", argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck | pe::bench::kJson);
 
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 1;
@@ -59,7 +48,7 @@ int main(int argc, char** argv) {
   std::printf("\ncalibration hash (%s + scheduler): %s\n", m.name.c_str(),
               m.calibration_hash().c_str());
 
-  if (!json_path.empty()) {
+  if (!cli.json_path.empty()) {
     pe::BenchReport report("scheduler_overhead");
     report.set_machine(m);
     report.set_context("pool_threads",
@@ -69,26 +58,14 @@ int main(int argc, char** argv) {
     report.add_metric("bulk_ns_per_chunk", "ns", probe.bulk_samples_ns);
     report.add_scalar("bulk_over_submit", "ratio",
                       probe.bulk_ns / probe.submit_ns);
-    try {
-      report.save_file(json_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::printf("snapshot written to %s\n", json_path.c_str());
+    pe::bench::save_snapshot(report, cli.json_path);
   }
 
-  if (check) {
-    // Generous threshold: bulk dispatch must cost at most half a legacy
-    // submit. Real hosts show far larger gaps; this only catches a bulk
-    // path that regressed into per-chunk allocation or lock handoffs.
-    const double ratio = probe.bulk_ns / probe.submit_ns;
-    if (!(ratio <= 0.5)) {
-      std::printf("\nCHECK FAILED: bulk/submit = %.3f > 0.5\n", ratio);
-      return 1;
-    }
-    std::printf("\nCHECK OK: bulk/submit = %.3f <= 0.5\n", ratio);
-  }
-  return 0;
+  // Generous threshold: bulk dispatch must cost at most half a legacy
+  // submit. Real hosts show far larger gaps; this only catches a bulk
+  // path that regressed into per-chunk allocation or lock handoffs.
+  pe::bench::Gate gate(cli.check);
+  const double ratio = probe.bulk_ns / probe.submit_ns;
+  gate.expect(ratio <= 0.5, "bulk/submit = %.3f > 0.5", ratio);
+  return gate.finish();
 }

@@ -12,11 +12,11 @@
 // less than 2% to bulk parallel_for chunk dispatch.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/kernels/matmul.hpp"
@@ -127,11 +127,9 @@ TracedKernels run_traced_kernels(pe::ThreadPool& pool) {
   return out;
 }
 
-bool check_collapsed(const std::string& folded) {
-  if (folded.empty()) {
-    std::fprintf(stderr, "CHECK: collapsed output is empty\n");
-    return false;
-  }
+// What is wrong with the collapsed export, or "" when it is well formed.
+std::string collapsed_defect(const std::string& folded) {
+  if (folded.empty()) return "collapsed output is empty";
   bool saw_provenance = false;
   std::istringstream in(folded);
   std::string line;
@@ -139,67 +137,43 @@ bool check_collapsed(const std::string& folded) {
   while (std::getline(in, line)) {
     ++lineno;
     const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos || space + 1 >= line.size()) {
-      std::fprintf(stderr, "CHECK: collapsed line %zu has no weight\n",
-                   lineno);
-      return false;
-    }
+    if (space == std::string::npos || space + 1 >= line.size())
+      return "collapsed line " + std::to_string(lineno) + " has no weight";
     for (std::size_t i = space + 1; i < line.size(); ++i) {
-      if (line[i] < '0' || line[i] > '9') {
-        std::fprintf(stderr,
-                     "CHECK: collapsed line %zu weight is not a number\n",
-                     lineno);
-        return false;
-      }
+      if (line[i] < '0' || line[i] > '9')
+        return "collapsed line " + std::to_string(lineno) +
+               " weight is not a number";
     }
     if (line.find("parallel_for@") != std::string::npos)
       saw_provenance = true;
   }
-  if (!saw_provenance) {
-    std::fprintf(stderr,
-                 "CHECK: no parallel_for provenance frame in any stack\n");
-    return false;
-  }
-  return true;
+  if (!saw_provenance) return "no parallel_for provenance frame in any stack";
+  return "";
 }
 
-bool check_chrome(const std::string& json) {
+// What is wrong with the Chrome trace export, or "" when it is well formed.
+std::string chrome_defect(const std::string& json) {
   const auto has = [&](const char* needle) {
     return json.find(needle) != std::string::npos;
   };
   if (!has("\"traceEvents\"") || !has("\"ph\":\"X\"") ||
-      !has("thread_name")) {
-    std::fprintf(stderr, "CHECK: chrome trace missing required structure\n");
-    return false;
-  }
+      !has("thread_name"))
+    return "chrome trace missing required structure";
   long depth = 0;
   for (char c : json) {
     if (c == '{') ++depth;
     if (c == '}') --depth;
     if (depth < 0) break;
   }
-  if (depth != 0) {
-    std::fprintf(stderr, "CHECK: chrome trace braces unbalanced\n");
-    return false;
-  }
-  return true;
+  if (depth != 0) return "chrome trace braces unbalanced";
+  return "";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check = false;
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--check] [--out <dir>]\n", argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck | pe::bench::kOut);
 
   std::puts("== Scheduler trace: packed matmul + balanced SpMV ==\n");
 
@@ -241,54 +215,44 @@ int main(int argc, char** argv) {
   std::fputs(exp.to_table().render().c_str(), stdout);
 
   // Exports: the raw capture, collapsed flame-graph stacks, Chrome JSON.
-  const std::string capture_path = out_dir + "/scheduler_trace.jsonl";
-  const std::string folded_path = out_dir + "/scheduler_trace.folded";
-  const std::string chrome_path = out_dir + "/scheduler_trace.chrome.json";
+  const std::string capture_path = cli.out_dir + "/scheduler_trace.jsonl";
+  const std::string folded_path = cli.out_dir + "/scheduler_trace.folded";
+  const std::string chrome_path = cli.out_dir + "/scheduler_trace.chrome.json";
   std::ostringstream folded_ss, chrome_ss;
   pe::observe::write_collapsed(folded_ss, trace);
   pe::observe::write_chrome_trace(chrome_ss, trace);
-  try {
+  pe::bench::write_or_exit(cli.out_dir, [&] {
     trace.save_file(capture_path);
     std::ofstream(folded_path, std::ios::binary) << folded_ss.str();
     std::ofstream(chrome_path, std::ios::binary) << chrome_ss.str();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cannot write exports: %s\n", e.what());
-    return 2;
-  }
+  });
   std::printf("\nexports: %s, %s, %s\n", capture_path.c_str(),
               folded_path.c_str(), chrome_path.c_str());
 
-  if (!check) return 0;
+  if (!cli.check) return 0;
 
   // --- CI gate ------------------------------------------------------------
-  bool ok = true;
-
-  if (trace.count(pe::TraceEventKind::kChunkStart) == 0) {
-    std::fprintf(stderr, "CHECK: no chunk events captured\n");
-    ok = false;
-  }
-  if (latency.samples_ns.empty()) {
-    std::fprintf(stderr, "CHECK: no latency samples matched\n");
-    ok = false;
-  } else if (!(latency.p50_ns <= latency.p95_ns &&
-               latency.p95_ns <= latency.p99_ns)) {
-    std::fprintf(stderr, "CHECK: latency percentiles not monotone\n");
-    ok = false;
-  }
-  ok = check_collapsed(folded_ss.str()) && ok;
-  ok = check_chrome(chrome_ss.str()) && ok;
+  pe::bench::Gate gate(cli.check);
+  gate.expect(trace.count(pe::TraceEventKind::kChunkStart) != 0,
+              "no chunk events captured");
+  if (gate.expect(!latency.samples_ns.empty(),
+                  "no latency samples matched"))
+    gate.expect(latency.p50_ns <= latency.p95_ns &&
+                    latency.p95_ns <= latency.p99_ns,
+                "latency percentiles not monotone");
+  const std::string collapsed = collapsed_defect(folded_ss.str());
+  gate.expect(collapsed.empty(), "%s", collapsed.c_str());
+  const std::string chrome = chrome_defect(chrome_ss.str());
+  gate.expect(chrome.empty(), "%s", chrome.c_str());
 
   // Round-trip: the saved capture must reload to the same event stream.
   try {
     std::ifstream in(capture_path, std::ios::binary);
     const pe::observe::Trace reloaded = pe::observe::Trace::load(in);
-    if (reloaded.events.size() != trace.events.size()) {
-      std::fprintf(stderr, "CHECK: capture round-trip lost events\n");
-      ok = false;
-    }
+    gate.expect(reloaded.events.size() == trace.events.size(),
+                "capture round-trip lost events");
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "CHECK: capture reload failed: %s\n", e.what());
-    ok = false;
+    gate.expect(false, "capture reload failed: %s", e.what());
   }
 
   // Disabled-hook overhead on bulk dispatch. Per chunk the disabled path
@@ -320,16 +284,7 @@ int main(int argc, char** argv) {
       "(amortized per-loop guards); bulk dispatch %.1f ns/chunk -> %.2f%% "
       "overhead\n",
       chunk_guard_ns, amortized_ns, probe.bulk_ns, overhead_pct);
-  if (!(overhead_pct < 2.0)) {
-    std::fprintf(stderr, "CHECK FAILED: disabled-hook overhead %.2f%% >= 2%%\n",
-                 overhead_pct);
-    ok = false;
-  }
-
-  if (!ok) {
-    std::puts("\nCHECK FAILED");
-    return 1;
-  }
-  std::puts("\nCHECK OK");
-  return 0;
+  gate.expect(overhead_pct < 2.0, "disabled-hook overhead %.2f%% >= 2%%",
+              overhead_pct);
+  return gate.finish();
 }

@@ -30,11 +30,11 @@
 // anything.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/rng.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
@@ -53,15 +53,6 @@ using pe::service::ServiceStats;
 using pe::service::SubmissionRequest;
 using pe::service::SubmitResult;
 using pe::service::TerminalState;
-
-int g_violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "CHECK FAILED: %s\n", what);
-    ++g_violations;
-  }
-}
 
 /// A kernel that busy-spins for a fixed wall time: the service time is a
 /// controlled variable, not a property of some workload.
@@ -183,23 +174,20 @@ CampaignResult run_campaign(const CampaignConfig& cc) {
 }
 
 /// Assert the terminal-state ledger of one campaign.
-void check_ledger(const char* name, const CampaignResult& r) {
+void check_ledger(pe::bench::Gate& gate, const char* name,
+                  const CampaignResult& r) {
   const ServiceStats& s = r.stats;
-  std::string label;
-  label = std::string(name) + ": outstanding futures";
-  check(r.outstanding == 0, label.c_str());
-  label = std::string(name) + ": terminal() covers every submission";
-  check(s.terminal() == s.submitted, label.c_str());
-  label = std::string(name) + ": admission ledger identity";
-  check(s.submitted == s.admitted + s.coalesced + s.cache_hits +
-                           s.shed_at_admission(),
-        label.c_str());
-  label = std::string(name) + ": retirement ledger identity";
-  check(s.admitted == s.completed + s.failed + s.shed_deadline +
-                          s.shed_shutdown_queued,
-        label.c_str());
-  label = std::string(name) + ": cache never causes extra runs";
-  check(s.workloads_run <= s.admitted, label.c_str());
+  gate.expect(r.outstanding == 0, "%s: outstanding futures", name);
+  gate.expect(s.terminal() == s.submitted,
+              "%s: terminal() covers every submission", name);
+  gate.expect(s.submitted == s.admitted + s.coalesced + s.cache_hits +
+                                 s.shed_at_admission(),
+              "%s: admission ledger identity", name);
+  gate.expect(s.admitted == s.completed + s.failed + s.shed_deadline +
+                                s.shed_shutdown_queued,
+              "%s: retirement ledger identity", name);
+  gate.expect(s.workloads_run <= s.admitted,
+              "%s: cache never causes extra runs", name);
 }
 
 void print_stats_row(pe::Table& t, const char* name,
@@ -234,15 +222,8 @@ double calibrate_service_seconds(double kernel_seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check_mode = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck);
 
   std::puts("== pe::service under synthetic multi-tenant load ==\n");
 
@@ -254,10 +235,12 @@ int main(int argc, char** argv) {
               "per worker, %zu workers)\n\n",
               pe::format_time(service_seconds).c_str(), mu, workers);
 
-  const std::size_t jobs = check_mode ? 200 : 400;
+  const std::size_t jobs = cli.check ? 200 : 400;
   pe::Table table({"campaign", "submitted", "completed", "failed", "shed",
                    "coalesced+hits", "mean wait", "mean response",
                    "sched p99"});
+
+  pe::bench::Gate gate(cli.check);
 
   // ---- 1. underload: rho ~ 0.5, queue never fills ----
   CampaignConfig under;
@@ -268,8 +251,8 @@ int main(int argc, char** argv) {
   under.kernel_seconds = kernel_seconds;
   const CampaignResult u = run_campaign(under);
   print_stats_row(table, "underload", u);
-  check_ledger("underload", u);
-  check(u.stats.shed_total() == 0, "underload: nothing sheds");
+  check_ledger(gate, "underload", u);
+  gate.expect(u.stats.shed_total() == 0, "underload: nothing sheds");
 
   const double rho_eff =
       u.lambda_effective / (static_cast<double>(workers) * mu);
@@ -299,10 +282,10 @@ int main(int argc, char** argv) {
     // Generous CI bound: the measured wait must be in the model's orbit,
     // not equal to it — scheduler jitter and near-deterministic service
     // both push it around.
-    check(u.mean_wait <= model.mean_wait * 20.0 + 10e-3,
-          "underload: measured wait within 20x of M/M/c prediction");
-    check(u.mean_response >= service_seconds * 0.5,
-          "underload: response at least one service time");
+    gate.expect(u.mean_wait <= model.mean_wait * 20.0 + 10e-3,
+                "underload: measured wait within 20x of M/M/c prediction");
+    gate.expect(u.mean_response >= service_seconds * 0.5,
+                "underload: response at least one service time");
   } else {
     std::puts("underload: achieved rate too close to saturation; "
               "skipping model comparison");
@@ -317,7 +300,7 @@ int main(int argc, char** argv) {
   over.kernel_seconds = kernel_seconds;
   const CampaignResult o = run_campaign(over);
   print_stats_row(table, "overload", o);
-  check_ledger("overload", o);
+  check_ledger(gate, "overload", o);
 
   const double rho_over =
       o.lambda_effective / (static_cast<double>(workers) * mu);
@@ -327,13 +310,13 @@ int main(int argc, char** argv) {
   std::printf("overload: achieved %.0f/s (rho_eff %.2f); model shed "
               "fraction 1 - 1/rho = %.2f, measured %.2f\n\n",
               o.lambda_effective, rho_over, shed_bound, o.shed_fraction);
-  check(o.stats.shed_total() > 0, "overload: backpressure engaged");
+  gate.expect(o.stats.shed_total() > 0, "overload: backpressure engaged");
   // 1 - 1/rho is the fluid *lower* bound (accepted throughput <= c*mu);
   // Poisson burstiness against a tiny queue always sheds somewhat more,
   // so the tolerance is asymmetric.
-  check(o.shed_fraction >= shed_bound - 0.10 &&
-            o.shed_fraction <= shed_bound + 0.35,
-        "overload: shed fraction within [-0.10, +0.35] of 1 - 1/rho");
+  gate.expect(o.shed_fraction >= shed_bound - 0.10 &&
+                  o.shed_fraction <= shed_bound + 0.35,
+              "overload: shed fraction within [-0.10, +0.35] of 1 - 1/rho");
 
   // ---- 3. chaos: faults at every service site, deadlines, small keys ----
   {
@@ -368,20 +351,11 @@ int main(int argc, char** argv) {
     chaos.deadline_every = 3;
     const CampaignResult c = run_campaign(chaos);
     print_stats_row(table, "chaos", c);
-    check_ledger("chaos", c);
-    check(c.stats.completed > 0, "chaos: service still completes work");
-    check(c.stats.shed_total() > 0, "chaos: faults and deadlines shed");
+    check_ledger(gate, "chaos", c);
+    gate.expect(c.stats.completed > 0, "chaos: service still completes work");
+    gate.expect(c.stats.shed_total() > 0, "chaos: faults and deadlines shed");
   }
 
   std::fputs(table.render().c_str(), stdout);
-
-  if (check_mode) {
-    if (g_violations > 0) {
-      std::fprintf(stderr, "\n%d check(s) failed\n", g_violations);
-      return 1;
-    }
-    std::puts("\nall checks passed: no lost submissions, ledger exact, "
-              "shed rates within model bounds");
-  }
-  return g_violations > 0 ? 1 : 0;
+  return gate.finish();
 }

@@ -18,11 +18,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/rng.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
@@ -78,18 +78,8 @@ double max_rel_diff(const std::vector<double>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--check] [--json <path>]\n", argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck | pe::bench::kJson);
 
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 1;
@@ -222,7 +212,7 @@ int main(int argc, char** argv) {
   std::printf("correctness: exact-format worst rel diff %.3e, csc %.3e\n",
               exact_worst, csc_worst);
 
-  if (!json_path.empty()) {
+  if (!cli.json_path.empty()) {
     pe::BenchReport report("spmv_formats");
     report.set_machine(pe::machine::resolve_or_preset("laptop-x86"));
     report.set_context("corpus_size",
@@ -238,41 +228,18 @@ int main(int argc, char** argv) {
     report.add_scalar("selector_win_fraction", "ratio", win_fraction);
     report.add_scalar("selector_speedup_vs_csr", "ratio", speedup_vs_csr);
     report.add_scalar("oracle_speedup_vs_csr", "ratio", oracle_speedup);
-    try {
-      report.save_file(json_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::printf("snapshot written to %s\n", json_path.c_str());
+    pe::bench::save_snapshot(report, cli.json_path);
   }
 
-  if (check) {
-    if (!(exact_worst == 0.0)) {
-      std::printf("\nCHECK FAILED: exact formats differ from CSR by "
-                  "%.3e\n",
-                  exact_worst);
-      return 1;
-    }
-    if (!(csc_worst <= 1e-10)) {
-      std::printf("\nCHECK FAILED: csc rel diff %.3e > 1e-10\n", csc_worst);
-      return 1;
-    }
-    if (!(win_fraction > 0.5)) {
-      std::printf("\nCHECK FAILED: selector beats/ties CSR on only "
-                  "%.0f%% of the corpus\n",
-                  win_fraction * 100.0);
-      return 1;
-    }
-    if (!(chosen_total <= csr_total * 1.05)) {
-      std::printf("\nCHECK FAILED: chosen formats cost %.3fx always-CSR\n",
-                  chosen_total / csr_total);
-      return 1;
-    }
-    std::printf("\nCHECK OK: %.0f%% wins, %.3fx corpus speedup, formats "
-                "agree\n",
-                win_fraction * 100.0, speedup_vs_csr);
-  }
-  return 0;
+  pe::bench::Gate gate(cli.check);
+  gate.expect(exact_worst == 0.0, "exact formats differ from CSR by %.3e",
+              exact_worst);
+  gate.expect(csc_worst <= 1e-10, "csc rel diff %.3e > 1e-10", csc_worst);
+  gate.expect(win_fraction > 0.5,
+              "selector beats/ties CSR on only %.0f%% of the corpus",
+              win_fraction * 100.0);
+  gate.expect(chosen_total <= csr_total * 1.05,
+              "chosen formats cost %.3fx always-CSR",
+              chosen_total / csr_total);
+  return gate.finish();
 }

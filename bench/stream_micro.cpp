@@ -13,10 +13,10 @@
 // guarantee. `--json <path>` writes the pe-bench-v1 snapshot checked in
 // at bench/snapshots/BENCH_stream.json.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "perfeng/bench/cli.hpp"
 #include "perfeng/common/aligned_buffer.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
@@ -95,18 +95,8 @@ void sc_triad_w(const double* a, const double* b, double* c, double s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--check] [--json <path>]\n", argv[0]);
-      return 2;
-    }
-  }
+  const pe::bench::Cli cli =
+      pe::bench::parse_cli(argc, argv, pe::bench::kCheck | pe::bench::kJson);
 
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 1;
@@ -173,31 +163,18 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   report.add_scalar("worst_vec_over_scalar", "ratio", worst_ratio);
 
-  if (!json_path.empty()) {
+  if (!cli.json_path.empty()) {
     const pe::machine::Machine m =
         pe::machine::resolve_or_preset("laptop-x86");
     report.set_machine(m);
-    try {
-      report.save_file(json_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::printf("\nsnapshot written to %s\n", json_path.c_str());
+    pe::bench::save_snapshot(report, cli.json_path);
   }
 
-  if (check) {
-    // The explicit-SIMD path must never be materially slower than the
-    // scalar baseline — on the generic backend both compile to comparable
-    // loops, on AVX2 the vector path should win; 1.15 absorbs CI noise.
-    if (!(worst_ratio <= 1.15)) {
-      std::printf("\nCHECK FAILED: %s vec/scalar = %.3f > 1.15\n",
-                  worst_label.c_str(), worst_ratio);
-      return 1;
-    }
-    std::printf("\nCHECK OK: worst vec/scalar = %.3f (%s) <= 1.15\n",
-                worst_ratio, worst_label.c_str());
-  }
-  return 0;
+  // The explicit-SIMD path must never be materially slower than the
+  // scalar baseline — on the generic backend both compile to comparable
+  // loops, on AVX2 the vector path should win; 1.15 absorbs CI noise.
+  pe::bench::Gate gate(cli.check);
+  gate.expect(worst_ratio <= 1.15, "%s vec/scalar = %.3f > 1.15",
+              worst_label.c_str(), worst_ratio);
+  return gate.finish();
 }

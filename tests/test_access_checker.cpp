@@ -77,9 +77,12 @@ TEST(AccessChecker, OverlappingWritePartitionNamesTheChunkPair) {
     pe::parallel_for_chunks(
         pool, 0, kN,
         [&](std::size_t lo, std::size_t hi, std::size_t /*lane*/) {
-          // Deliberately broken partition: every chunk writes kBleed
-          // elements past its claimed range.
-          for (std::size_t i = lo; i < hi + kBleed; ++i) span[i] = 1.0;
+          // Deliberately broken partition: every chunk also claims to
+          // write kBleed elements past its range. The bleed is announced,
+          // not performed, so the checker sees the overlapping byte ranges
+          // without the test itself racing on the data.
+          for (std::size_t i = lo; i < hi; ++i) span[i] = 1.0;
+          span.note(hi, hi + kBleed, /*is_write=*/true);
         },
         pe::Schedule::kStatic);
   }
