@@ -17,6 +17,7 @@
 #include <string>
 
 #include "perfeng/bench/cli.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/kernels/matmul.hpp"
@@ -159,13 +160,11 @@ std::string chrome_defect(const std::string& json) {
   if (!has("\"traceEvents\"") || !has("\"ph\":\"X\"") ||
       !has("thread_name"))
     return "chrome trace missing required structure";
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    if (depth < 0) break;
+  try {
+    (void)pe::json::parse(json);
+  } catch (const pe::json::ParseError& e) {
+    return std::string("chrome trace is not valid JSON: ") + e.what();
   }
-  if (depth != 0) return "chrome trace braces unbalanced";
   return "";
 }
 

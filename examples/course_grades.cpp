@@ -1,7 +1,7 @@
 // course_grades: a command-line grade calculator for the course's
 // published grading scheme (Equations 1-3).
 //
-//   $ ./course_grades <Gp_app> <Gp_report> <Gp_pres> \
+//   $ ./course_grades <Gp_app> <Gp_report> <Gp_pres>
 //                     <a1> <a2> <a3> <a4> <team_size> <Ge> <Sq>
 //   $ ./course_grades 8 7 9  9 8 10 11  2  7.5 25
 #include <cstdio>

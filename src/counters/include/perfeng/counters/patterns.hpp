@@ -35,7 +35,7 @@ struct PatternReport {
   Pattern pattern;
   bool detected = false;
   double severity = 0.0;  ///< 0 (absent) .. 1 (dominant)
-  std::string evidence;   ///< human-readable justification
+  std::string evidence{};  ///< human-readable justification
 };
 
 /// Strided/column-walking access: L1 miss rate per memory access far above

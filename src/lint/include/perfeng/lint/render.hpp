@@ -27,7 +27,4 @@ namespace pe::lint {
 [[nodiscard]] std::string render_sarif(const std::vector<Finding>& findings,
                                        const std::vector<RuleInfo>& rules);
 
-/// JSON string-body escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 }  // namespace pe::lint

@@ -1,109 +1,34 @@
 #include "perfeng/lint/baseline.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "perfeng/common/error.hpp"
-#include "perfeng/lint/render.hpp"
+#include "perfeng/common/json.hpp"
 
 namespace pe::lint {
 
-namespace {
-
-/// Extract the string value of `"key": "..."` from a single-line JSON
-/// object. Returns false if the key is absent. Handles the escapes
-/// json_escape emits.
-bool extract_string(const std::string& line, const std::string& key,
-                    std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t p = line.find(needle);
-  if (p == std::string::npos) return false;
-  p += needle.size();
-  while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
-  if (p >= line.size() || line[p] != '"') return false;
-  ++p;
-  out.clear();
-  while (p < line.size()) {
-    const char c = line[p];
-    if (c == '\\' && p + 1 < line.size()) {
-      const char e = line[p + 1];
-      switch (e) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          // Only \u00XX escapes are emitted; decode the low byte.
-          if (p + 5 < line.size()) {
-            const std::string hex = line.substr(p + 2, 4);
-            out.push_back(static_cast<char>(
-                std::strtol(hex.c_str(), nullptr, 16)));
-            p += 4;
-          }
-          break;
-        }
-        default:
-          out.push_back(e);
-      }
-      p += 2;
-      continue;
-    }
-    if (c == '"') return true;
-    out.push_back(c);
-    ++p;
-  }
-  return false;
-}
-
-bool extract_number(const std::string& line, const std::string& key,
-                    std::size_t& out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t p = line.find(needle);
-  if (p == std::string::npos) return false;
-  p += needle.size();
-  while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
-  std::size_t e = p;
-  while (e < line.size() && std::isdigit(static_cast<unsigned char>(line[e])))
-    ++e;
-  if (e == p) return false;
-  out = static_cast<std::size_t>(std::stoull(line.substr(p, e - p)));
-  return true;
-}
-
-}  // namespace
-
 Baseline Baseline::load(const std::filesystem::path& path) {
   Baseline b;
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return b;  // missing baseline: everything is new
-  std::size_t lineno = 0;
-  for (std::string line; std::getline(in, line);) {
-    ++lineno;
-    if (line.find("\"rule\"") == std::string::npos) continue;
-    std::string rule;
-    std::string file;
-    std::string message;
-    std::size_t count = 1;
-    if (!extract_string(line, "rule", rule) ||
-        !extract_string(line, "file", file) ||
-        !extract_string(line, "message", message)) {
-      throw pe::Error("malformed baseline entry at " + path.string() + ":" +
-                      std::to_string(lineno));
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    const json::Value doc = json::parse(text.str());
+    for (const json::Value& entry :
+         doc.at("entries").expect(json::Value::Kind::kArray).items) {
+      Finding f;
+      f.rule = entry.at("rule").as_string();
+      f.file = entry.at("file").as_string();
+      f.message = entry.at("message").as_string();
+      const json::Value* count = entry.find("count");
+      b.counts_[finding_key(f)] +=
+          count == nullptr ? 1 : static_cast<std::size_t>(count->as_uint());
     }
-    extract_number(line, "count", count);
-    Finding f;
-    f.rule = rule;
-    f.file = file;
-    f.message = message;
-    b.counts_[finding_key(f)] += count;
+  } catch (const json::ParseError& e) {
+    throw pe::Error("malformed baseline entry at " + path.string() + ":" +
+                    std::to_string(e.line()) + ": " + e.reason());
   }
   return b;
 }
@@ -128,9 +53,10 @@ std::string Baseline::serialize(const std::vector<Finding>& findings) {
   for (const auto& [key, rep] : agg) {
     (void)key;
     const Finding& f = rep.first;
-    os << "    {\"rule\":\"" << json_escape(f.rule) << "\",\"file\":\""
-       << json_escape(f.file) << "\",\"message\":\"" << json_escape(f.message)
-       << "\",\"count\":" << rep.second << "}"
+    os << "    {\"rule\":" << json::quote(f.rule)
+       << ",\"file\":" << json::quote(f.file)
+       << ",\"message\":" << json::quote(f.message)
+       << ",\"count\":" << rep.second << "}"
        << (++i < agg.size() ? "," : "") << '\n';
   }
   os << "  ]\n"

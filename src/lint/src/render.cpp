@@ -1,43 +1,10 @@
 #include "perfeng/lint/render.hpp"
 
-#include <cstdio>
 #include <sstream>
 
-namespace pe::lint {
+#include "perfeng/common/json.hpp"
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+namespace pe::lint {
 
 std::string render_text(const std::vector<Finding>& findings,
                         std::size_t files_scanned) {
@@ -56,11 +23,11 @@ std::string render_text(const std::vector<Finding>& findings,
 std::string render_jsonl(const std::vector<Finding>& findings) {
   std::ostringstream os;
   for (const Finding& f : findings) {
-    os << "{\"file\":\"" << json_escape(f.file) << "\",\"line\":" << f.line
-       << ",\"rule\":\"" << json_escape(f.rule) << "\",\"severity\":\""
-       << severity_name(f.severity) << "\",\"message\":\""
-       << json_escape(f.message) << "\",\"fix_hint\":\""
-       << json_escape(f.fix_hint) << "\"}\n";
+    os << "{\"file\":" << json::quote(f.file) << ",\"line\":" << f.line
+       << ",\"rule\":" << json::quote(f.rule) << ",\"severity\":\""
+       << severity_name(f.severity)
+       << "\",\"message\":" << json::quote(f.message)
+       << ",\"fix_hint\":" << json::quote(f.fix_hint) << "}\n";
   }
   return os.str();
 }
@@ -99,9 +66,9 @@ std::string render_sarif(const std::vector<Finding>& findings,
      << "          \"rules\": [\n";
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const RuleInfo& r = rules[i];
-    os << "            {\"id\": \"" << json_escape(r.id)
-       << "\", \"shortDescription\": {\"text\": \"" << json_escape(r.summary)
-       << "\"}, \"defaultConfiguration\": {\"level\": \""
+    os << "            {\"id\": " << json::quote(r.id)
+       << ", \"shortDescription\": {\"text\": " << json::quote(r.summary)
+       << "}, \"defaultConfiguration\": {\"level\": \""
        << sarif_level(r.severity) << "\"}}"
        << (i + 1 < rules.size() ? "," : "") << '\n';
   }
@@ -119,15 +86,16 @@ std::string render_sarif(const std::vector<Finding>& findings,
         break;
       }
     }
-    os << "        {\"ruleId\": \"" << json_escape(f.rule) << "\"";
+    std::string text = f.message;
+    if (!f.fix_hint.empty()) text += " (fix: " + f.fix_hint + ")";
+    os << "        {\"ruleId\": " << json::quote(f.rule);
     if (rule_index >= 0) os << ", \"ruleIndex\": " << rule_index;
     os << ", \"level\": \"" << sarif_level(f.severity)
-       << "\", \"message\": {\"text\": \"" << json_escape(f.message);
-    if (!f.fix_hint.empty()) os << " (fix: " << json_escape(f.fix_hint) << ")";
-    os << "\"}, \"locations\": [{\"physicalLocation\": "
-          "{\"artifactLocation\": {\"uri\": \""
-       << json_escape(f.file)
-       << "\"}, \"region\": {\"startLine\": " << (f.line == 0 ? 1 : f.line)
+       << "\", \"message\": {\"text\": " << json::quote(text)
+       << "}, \"locations\": [{\"physicalLocation\": "
+          "{\"artifactLocation\": {\"uri\": "
+       << json::quote(f.file)
+       << "}, \"region\": {\"startLine\": " << (f.line == 0 ? 1 : f.line)
        << "}}}]}" << (i + 1 < findings.size() ? "," : "") << '\n';
   }
   os << "      ]\n"

@@ -1,12 +1,15 @@
 #include "perfeng/machine/machine.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <utility>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
 
@@ -27,251 +30,100 @@ std::string format_double(double v) {
   return buf;
 }
 
-// --- minimal JSON document model -------------------------------------------
-// Just enough JSON for machine files, with the 1-based line of every value
-// retained so malformed input is reported the way the CSV and Matrix Market
-// loaders report it: "<source>: line N: what went wrong".
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> object;
-  std::size_t line = 1;
-
-  [[nodiscard]] const char* kind_name() const {
-    switch (kind) {
-      case Kind::kNull: return "null";
-      case Kind::kBool: return "bool";
-      case Kind::kNumber: return "number";
-      case Kind::kString: return "string";
-      case Kind::kArray: return "array";
-      case Kind::kObject: return "object";
-    }
-    return "?";
-  }
-};
-
-class Parser {
- public:
-  Parser(std::string_view text, std::string_view source)
-      : text_(text), source_(source) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after document", line_);
-    return v;
-  }
-
-  [[noreturn]] void fail(const std::string& msg, std::size_t line) const {
-    throw Error("machine: " + std::string(source_) + ": line " +
-                std::to_string(line) + ": " + msg);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') ++line_;
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input", line_);
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'",
-           line_);
-    }
-    ++pos_;
-  }
-
-  Value parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == 't' || c == 'f' || c == 'n') return parse_keyword();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail(std::string("unexpected character '") + c + "'", line_);
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    v.line = line_;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      Value key = parse_string();
-      expect(':');
-      Value item = parse_value();
-      v.object.emplace_back(std::move(key.text), std::move(item));
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object", line_);
-    }
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    v.line = line_;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array", line_);
-    }
-  }
-
-  Value parse_string() {
-    Value v;
-    v.kind = Value::Kind::kString;
-    if (peek() != '"') fail("expected string", line_);
-    v.line = line_;
-    ++pos_;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string", v.line);
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c == '\n') fail("newline inside string", v.line);
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape", v.line);
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': v.text.push_back('"'); break;
-          case '\\': v.text.push_back('\\'); break;
-          case '/': v.text.push_back('/'); break;
-          case 'n': v.text.push_back('\n'); break;
-          case 't': v.text.push_back('\t'); break;
-          default:
-            fail(std::string("unsupported escape '\\") + e + "'", v.line);
-        }
-      } else {
-        v.text.push_back(c);
-      }
-    }
-  }
-
-  Value parse_number() {
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    v.line = line_;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    v.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || token.empty())
-      fail("malformed number '" + token + "'", v.line);
-    return v;
-  }
-
-  Value parse_keyword() {
-    Value v;
-    v.line = line_;
-    auto match = [&](std::string_view word) {
-      if (text_.substr(pos_, word.size()) != word) return false;
-      pos_ += word.size();
-      return true;
-    };
-    if (match("true")) {
-      v.kind = Value::Kind::kBool;
-      v.boolean = true;
-    } else if (match("false")) {
-      v.kind = Value::Kind::kBool;
-    } else if (match("null")) {
-      v.kind = Value::Kind::kNull;
-    } else {
-      fail("unexpected token", line_);
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::string_view source_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
 // --- DOM -> Machine mapping ------------------------------------------------
 
-double as_number(const Parser& p, const Value& v, const std::string& key) {
-  if (v.kind != Value::Kind::kNumber)
-    p.fail("key '" + key + "' must be a number, got " + v.kind_name(),
-           v.line);
-  return v.number;
-}
+using json::Value;
 
-std::string as_string(const Parser& p, const Value& v,
-                      const std::string& key) {
-  if (v.kind != Value::Kind::kString)
-    p.fail("key '" + key + "' must be a string, got " + v.kind_name(),
-           v.line);
-  return v.text;
-}
-
-std::size_t as_size(const Parser& p, const Value& v, const std::string& key) {
-  const double d = as_number(p, v, key);
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d)))
-    p.fail("key '" + key + "' must be a non-negative integer", v.line);
-  return static_cast<std::size_t>(d);
-}
-
-MemoryLevel level_from_value(const Parser& p, const Value& v) {
-  if (v.kind != Value::Kind::kObject)
-    p.fail("hierarchy entries must be objects", v.line);
+MemoryLevel level_from_value(const Value& v) {
+  v.expect(Value::Kind::kObject);
   MemoryLevel level;
   bool saw_name = false, saw_bandwidth = false;
-  for (const auto& [key, item] : v.object) {
+  for (const Value& item : v.items) {
+    const std::string& key = item.key;
     if (key == "level") {
-      level.name = as_string(p, item, key);
+      level.name = item.as_string();
       saw_name = true;
     } else if (key == "bandwidth") {
-      level.bandwidth = as_number(p, item, key);
+      level.bandwidth = item.as_number();
       saw_bandwidth = true;
     } else if (key == "latency") {
-      level.latency = as_number(p, item, key);
+      level.latency = item.as_number();
     } else if (key == "capacity") {
-      level.capacity = as_size(p, item, key);
+      level.capacity = static_cast<std::size_t>(item.as_uint());
     } else if (key == "line_bytes") {
-      level.line_bytes = as_size(p, item, key);
+      level.line_bytes = static_cast<std::size_t>(item.as_uint());
     } else {
-      p.fail("unknown hierarchy key '" + key + "'", item.line);
+      json::fail(item, "unknown hierarchy key '" + key + "'");
     }
   }
-  if (!saw_name) p.fail("hierarchy entry missing 'level'", v.line);
-  if (!saw_bandwidth) p.fail("hierarchy entry missing 'bandwidth'", v.line);
+  if (!saw_name) json::fail(v, "hierarchy entry missing 'level'");
+  if (!saw_bandwidth) json::fail(v, "hierarchy entry missing 'bandwidth'");
   return level;
+}
+
+/// Read the object `section` whose every member is a number, storing each
+/// through the pointer `fields` pairs with its key.
+void read_numbers(
+    const Value& section,
+    std::initializer_list<std::pair<std::string_view, double*>> fields) {
+  for (const Value& e : section.expect(Value::Kind::kObject).items) {
+    const auto field =
+        std::find_if(fields.begin(), fields.end(),
+                     [&e](const auto& f) { return f.first == e.key; });
+    if (field == fields.end())
+      json::fail(e, "unknown " + section.key + " key '" + e.key + "'");
+    *field->second = e.as_number();
+  }
+}
+
+Machine machine_from_value(const Value& doc) {
+  doc.expect(Value::Kind::kObject);
+  Machine m;
+  bool saw_name = false, saw_peak = false, saw_hierarchy = false;
+  for (const Value& v : doc.items) {
+    const std::string& key = v.key;
+    if (key == "name") {
+      m.name = v.as_string();
+      saw_name = true;
+    } else if (key == "description") {
+      m.description = v.as_string();
+    } else if (key == "source") {
+      m.source = v.as_string();
+    } else if (key == "peak_flops") {
+      m.peak_flops = v.as_number();
+      saw_peak = true;
+    } else if (key == "cores") {
+      m.cores = static_cast<unsigned>(v.as_uint());
+    } else if (key == "hierarchy") {
+      for (const Value& item : v.expect(Value::Kind::kArray).items)
+        m.hierarchy.push_back(level_from_value(item));
+      saw_hierarchy = true;
+    } else if (key == "energy") {
+      read_numbers(v, {{"static_watts", &m.static_watts},
+                       {"peak_dynamic_watts", &m.peak_dynamic_watts}});
+    } else if (key == "link") {
+      read_numbers(v, {{"alpha", &m.link_alpha}, {"beta", &m.link_beta}});
+    } else if (key == "simd") {
+      for (const Value& e : v.expect(Value::Kind::kObject).items) {
+        if (e.key == "width_bits") {
+          m.simd_width_bits = static_cast<unsigned>(e.as_uint());
+        } else if (e.key == "fma") {
+          m.simd_fma = e.as_bool();
+        } else {
+          json::fail(e, "unknown simd key '" + e.key + "'");
+        }
+      }
+    } else if (key == "scheduler") {
+      read_numbers(v, {{"submit_ns", &m.sched_submit_ns},
+                       {"bulk_ns", &m.sched_bulk_ns}});
+    } else {
+      json::fail(v, "unknown key '" + key + "'");
+    }
+  }
+  if (!saw_name) json::fail(doc, "missing required key 'name'");
+  if (!saw_peak) json::fail(doc, "missing required key 'peak_flops'");
+  if (!saw_hierarchy) json::fail(doc, "missing required key 'hierarchy'");
+  return m;
 }
 
 }  // namespace
@@ -370,15 +222,7 @@ std::string Machine::calibration_hash() const {
 }
 
 std::string to_json(const Machine& m) {
-  auto quote = [](const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    out.push_back('"');
-    return out;
-  };
+  using json::quote;
   std::ostringstream ss;
   ss << "{\n";
   ss << "  \"name\": " << quote(m.name) << ",\n";
@@ -420,93 +264,12 @@ std::string to_json(const Machine& m) {
 }
 
 Machine from_json(std::string_view text, std::string_view source) {
-  Parser parser(text, source);
-  const Value doc = parser.parse_document();
-  if (doc.kind != Value::Kind::kObject)
-    parser.fail("machine file must be a JSON object", doc.line);
-
   Machine m;
-  bool saw_name = false, saw_peak = false, saw_hierarchy = false;
-  for (const auto& [key, v] : doc.object) {
-    if (key == "name") {
-      m.name = as_string(parser, v, key);
-      saw_name = true;
-    } else if (key == "description") {
-      m.description = as_string(parser, v, key);
-    } else if (key == "source") {
-      m.source = as_string(parser, v, key);
-    } else if (key == "peak_flops") {
-      m.peak_flops = as_number(parser, v, key);
-      saw_peak = true;
-    } else if (key == "cores") {
-      m.cores = static_cast<unsigned>(as_size(parser, v, key));
-    } else if (key == "hierarchy") {
-      if (v.kind != Value::Kind::kArray)
-        parser.fail("key 'hierarchy' must be an array", v.line);
-      for (const Value& item : v.array)
-        m.hierarchy.push_back(level_from_value(parser, item));
-      saw_hierarchy = true;
-    } else if (key == "energy") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'energy' must be an object", v.line);
-      for (const auto& [ekey, ev] : v.object) {
-        if (ekey == "static_watts") {
-          m.static_watts = as_number(parser, ev, ekey);
-        } else if (ekey == "peak_dynamic_watts") {
-          m.peak_dynamic_watts = as_number(parser, ev, ekey);
-        } else {
-          parser.fail("unknown energy key '" + ekey + "'", ev.line);
-        }
-      }
-    } else if (key == "link") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'link' must be an object", v.line);
-      for (const auto& [lkey, lv] : v.object) {
-        if (lkey == "alpha") {
-          m.link_alpha = as_number(parser, lv, lkey);
-        } else if (lkey == "beta") {
-          m.link_beta = as_number(parser, lv, lkey);
-        } else {
-          parser.fail("unknown link key '" + lkey + "'", lv.line);
-        }
-      }
-    } else if (key == "simd") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'simd' must be an object", v.line);
-      for (const auto& [mkey, mv] : v.object) {
-        if (mkey == "width_bits") {
-          m.simd_width_bits =
-              static_cast<unsigned>(as_size(parser, mv, mkey));
-        } else if (mkey == "fma") {
-          if (mv.kind != Value::Kind::kBool)
-            parser.fail("key 'fma' must be a bool, got " +
-                            std::string(mv.kind_name()),
-                        mv.line);
-          m.simd_fma = mv.boolean;
-        } else {
-          parser.fail("unknown simd key '" + mkey + "'", mv.line);
-        }
-      }
-    } else if (key == "scheduler") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'scheduler' must be an object", v.line);
-      for (const auto& [skey, sv] : v.object) {
-        if (skey == "submit_ns") {
-          m.sched_submit_ns = as_number(parser, sv, skey);
-        } else if (skey == "bulk_ns") {
-          m.sched_bulk_ns = as_number(parser, sv, skey);
-        } else {
-          parser.fail("unknown scheduler key '" + skey + "'", sv.line);
-        }
-      }
-    } else {
-      parser.fail("unknown key '" + key + "'", v.line);
-    }
+  try {
+    m = machine_from_value(json::parse(text));
+  } catch (const json::ParseError& e) {
+    throw Error("machine: " + std::string(source) + ": " + e.what());
   }
-  if (!saw_name) parser.fail("missing required key 'name'", doc.line);
-  if (!saw_peak) parser.fail("missing required key 'peak_flops'", doc.line);
-  if (!saw_hierarchy)
-    parser.fail("missing required key 'hierarchy'", doc.line);
   m.check();
   return m;
 }

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,16 @@ class BenchReport {
                   double value);
 
   [[nodiscard]] const std::string& bench() const { return bench_; }
+  [[nodiscard]] const std::string& machine_name() const {
+    return machine_name_;
+  }
+  [[nodiscard]] const std::string& calibration_hash() const {
+    return calibration_hash_;
+  }
+  [[nodiscard]] const std::vector<std::pair<std::string, double>>& context()
+      const {
+    return context_;
+  }
   [[nodiscard]] const std::vector<BenchMetric>& metrics() const {
     return metrics_;
   }
@@ -66,6 +77,16 @@ class BenchReport {
 
   /// Write `to_json()` to `path`; throws pe::Error on I/O failure.
   void save_file(const std::string& path) const;
+
+  /// Read pe-bench-v1 JSON as `to_json()` writes it: a `null` number reads
+  /// as NaN and each metric's summary is recomputed from its samples.
+  /// Throws pe::Error naming `source` and the line on malformed input, and
+  /// naming the schema when it is not pe-bench-v1.
+  [[nodiscard]] static BenchReport load(std::string_view text,
+                                        std::string_view source = "<memory>");
+
+  /// `load` of the file at `path`; throws pe::Error if it cannot be read.
+  [[nodiscard]] static BenchReport load_file(const std::string& path);
 
  private:
   std::string bench_;

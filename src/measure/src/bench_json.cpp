@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 
 namespace pe {
 
@@ -26,19 +28,10 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
+double number_or_null(const json::Value& v) {
+  return v.kind == json::Value::Kind::kNull
+             ? std::numeric_limits<double>::quiet_NaN()
+             : v.as_number();
 }
 
 }  // namespace
@@ -89,14 +82,14 @@ std::string BenchReport::to_json() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema\": \"pe-bench-v1\",\n";
-  out << "  \"bench\": " << json_string(bench_) << ",\n";
-  out << "  \"machine\": " << json_string(machine_name_) << ",\n";
-  out << "  \"calibration_hash\": " << json_string(calibration_hash_)
+  out << "  \"bench\": " << json::quote(bench_) << ",\n";
+  out << "  \"machine\": " << json::quote(machine_name_) << ",\n";
+  out << "  \"calibration_hash\": " << json::quote(calibration_hash_)
       << ",\n";
   out << "  \"context\": {";
   for (std::size_t i = 0; i < context_.size(); ++i) {
     if (i) out << ", ";
-    out << json_string(context_[i].first) << ": "
+    out << json::quote(context_[i].first) << ": "
         << json_number(context_[i].second);
   }
   out << "},\n";
@@ -104,8 +97,8 @@ std::string BenchReport::to_json() const {
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     const BenchMetric& m = metrics_[i];
     out << (i ? ",\n    {" : "\n    {");
-    out << "\"name\": " << json_string(m.name)
-        << ", \"unit\": " << json_string(m.unit) << ",\n";
+    out << "\"name\": " << json::quote(m.name)
+        << ", \"unit\": " << json::quote(m.unit) << ",\n";
     out << "     \"mean\": " << json_number(m.summary.mean)
         << ", \"median\": " << json_number(m.summary.median)
         << ", \"min\": " << json_number(m.summary.min)
@@ -130,6 +123,42 @@ void BenchReport::save_file(const std::string& path) const {
   PE_REQUIRE(static_cast<bool>(out), "cannot open bench report for writing");
   out << to_json();
   PE_REQUIRE(static_cast<bool>(out), "short write of bench report");
+}
+
+BenchReport BenchReport::load(std::string_view text, std::string_view source) {
+  try {
+    const json::Value doc = json::parse(text);
+    const json::Value& schema = doc.at("schema");
+    if (schema.as_string() != "pe-bench-v1")
+      json::fail(schema, "unsupported schema '" + schema.as_string() + "'");
+    BenchReport r(doc.at("bench").as_string());
+    r.set_machine(doc.at("machine").as_string(),
+                  doc.at("calibration_hash").as_string());
+    for (const json::Value& c :
+         doc.at("context").expect(json::Value::Kind::kObject).items)
+      r.set_context(c.key, number_or_null(c));
+    for (const json::Value& m :
+         doc.at("metrics").expect(json::Value::Kind::kArray).items) {
+      std::vector<double> samples;
+      for (const json::Value& s :
+           m.at("samples").expect(json::Value::Kind::kArray).items)
+        samples.push_back(number_or_null(s));
+      if (samples.empty()) json::fail(m, "metric has no samples");
+      r.add_metric(m.at("name").as_string(), m.at("unit").as_string(),
+                   std::move(samples));
+    }
+    return r;
+  } catch (const json::ParseError& e) {
+    throw Error("bench report: " + std::string(source) + ": " + e.what());
+  }
+}
+
+BenchReport BenchReport::load_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("bench report: cannot open '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return load(text.str(), path);
 }
 
 }  // namespace pe

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,10 @@ struct Trace {
   [[nodiscard]] static Trace load(std::istream& in);
   [[nodiscard]] static Trace load_file(const std::string& path);
 
-  /// Owning storage for provenance strings of loaded traces; untouched
+  /// Owning storage for provenance strings of loaded traces, one node per
+  /// distinct file so record pointers stay valid as it grows; untouched
   /// for live captures (whose `file` pointers are static storage).
-  std::vector<std::string> string_pool;
+  std::set<std::string> string_pool;
 };
 
 }  // namespace pe::observe

@@ -40,7 +40,7 @@ struct FaultSpec {
   int max_fires = -1;                ///< stop firing after N hits (< 0: never)
   double delay_seconds = 1e-3;       ///< kDelay: how long to stall
   double corrupt_scale = 100.0;      ///< kCorruptValue: multiplier applied
-  std::string message;               ///< optional throw-message override
+  std::string message{};             ///< optional throw-message override
 };
 
 /// A reproducible chaos scenario: a seed plus the fault rules.

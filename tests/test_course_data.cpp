@@ -34,7 +34,9 @@ TEST(Data1, EvaluationsMissingFor2019And2022) {
   for (const auto& y : student_history()) {
     const bool should_be_missing = (y.year == 2019 || y.year == 2022);
     EXPECT_EQ(!y.evaluation_available, should_be_missing) << y.year;
-    if (!y.evaluation_available) EXPECT_EQ(y.respondents, 0);
+    if (!y.evaluation_available) {
+      EXPECT_EQ(y.respondents, 0);
+    }
   }
 }
 
@@ -106,8 +108,9 @@ TEST(Data2, RespondentCountsPlausible) {
 TEST(Data2, AssignmentsAllScoreAboveFour) {
   // "helped me understand the subject" >= 4.1 for all four assignments.
   for (const auto& item : evaluation_agreement()) {
-    if (item.section.find("helped me understand") != std::string::npos)
+    if (item.section.find("helped me understand") != std::string::npos) {
       EXPECT_GE(item.paper_mean, 4.1) << item.statement;
+    }
   }
 }
 

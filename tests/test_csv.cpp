@@ -44,19 +44,19 @@ TEST(Csv, QuotedFieldMayContainNewline) {
 }
 
 TEST(Csv, RaggedRowThrows) {
-  EXPECT_THROW(pe::parse_csv("a,b\n1\n"), pe::Error);
-  EXPECT_THROW(pe::parse_csv("a,b\n1,2,3\n"), pe::Error);
+  EXPECT_THROW((void)pe::parse_csv("a,b\n1\n"), pe::Error);
+  EXPECT_THROW((void)pe::parse_csv("a,b\n1,2,3\n"), pe::Error);
 }
 
 TEST(Csv, UnterminatedQuoteThrows) {
-  EXPECT_THROW(pe::parse_csv("a\n\"oops\n"), pe::Error);
+  EXPECT_THROW((void)pe::parse_csv("a\n\"oops\n"), pe::Error);
 }
 
 TEST(Csv, ColumnLookup) {
   const auto doc = pe::parse_csv("year,count\n2020,5\n");
   EXPECT_EQ(doc.column("year"), 0u);
   EXPECT_EQ(doc.column("count"), 1u);
-  EXPECT_THROW(doc.column("missing"), pe::Error);
+  EXPECT_THROW((void)doc.column("missing"), pe::Error);
 }
 
 TEST(Csv, EmptyFieldsPreserved) {
@@ -81,11 +81,11 @@ TEST(Csv, WriteRoundTrips) {
 }
 
 TEST(Csv, WriteRejectsRaggedRows) {
-  EXPECT_THROW(pe::write_csv({"a", "b"}, {{"only"}}), pe::Error);
+  EXPECT_THROW((void)pe::write_csv({"a", "b"}, {{"only"}}), pe::Error);
 }
 
 TEST(Csv, MissingFileThrows) {
-  EXPECT_THROW(pe::read_csv_file("/nonexistent/file.csv"), pe::Error);
+  EXPECT_THROW((void)pe::read_csv_file("/nonexistent/file.csv"), pe::Error);
 }
 
 std::string error_of(const std::function<void()>& fn) {

@@ -48,7 +48,9 @@ TEST(Fft, SingleToneLandsInOneBin) {
   const auto spectrum = pe::kernels::fft(x);
   EXPECT_NEAR(std::abs(spectrum[5]), double(n), 1e-9);
   for (std::size_t k = 0; k < n; ++k) {
-    if (k != 5) EXPECT_NEAR(std::abs(spectrum[k]), 0.0, 1e-9) << k;
+    if (k != 5) {
+      EXPECT_NEAR(std::abs(spectrum[k]), 0.0, 1e-9) << k;
+    }
   }
 }
 

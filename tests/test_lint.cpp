@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/lint/baseline.hpp"
 #include "perfeng/lint/driver.hpp"
 #include "perfeng/lint/lexer.hpp"
@@ -269,6 +271,64 @@ TEST(LintBaseline, RoundTripsAndAbsorbsExactlyTheAcceptedCounts) {
   }));
 }
 
+void write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+}
+
+TEST(LintBaseline, AnyJsonLayoutLoadsWithTheSameCounts) {
+  // The same two identities Baseline::serialize would write on two lines,
+  // re-indented the way a JSON formatter lays them out.
+  const std::string path = testing::TempDir() + "lint_baseline_pretty.json";
+  write_text(path,
+             "{\n"
+             "  \"tool\": \"perfeng-lint\",\n"
+             "  \"entries\": [\n"
+             "    {\n"
+             "      \"rule\": \"no-volatile\",\n"
+             "      \"file\": \"src/x/src/x.cpp\",\n"
+             "      \"message\": \"volatile is not a synchronization "
+             "primitive\",\n"
+             "      \"count\": 2\n"
+             "    },\n"
+             "    {\n"
+             "      \"rule\": \"wait-loop\",\n"
+             "      \"file\": \"src/y/src/y.cpp\",\n"
+             "      \"message\": \"spin without backoff\"\n"
+             "    }\n"
+             "  ]\n"
+             "}\n");
+  const Baseline base = Baseline::load(path);
+  EXPECT_EQ(base.total_entries(), 3u);
+  Finding a;
+  a.file = "src/x/src/x.cpp";
+  a.rule = "no-volatile";
+  a.message = "volatile is not a synchronization primitive";
+  Finding c;
+  c.file = "src/y/src/y.cpp";
+  c.rule = "wait-loop";
+  c.message = "spin without backoff";
+  EXPECT_EQ(base.new_findings({a, a, c}).size(), 0u);
+  EXPECT_EQ(base.new_findings({a, a, a, c}).size(), 1u);
+
+  // An entry without a file names the baseline and the entry's line.
+  write_text(path,
+             "{\"entries\": [\n"
+             "  {\"rule\": \"r\", \"message\": \"m\"}\n"
+             "]}\n");
+  try {
+    (void)Baseline::load(path);
+    FAIL() << "expected pe::Error";
+  } catch (const pe::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed baseline entry at " +
+                                         path + ":2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(LintBaseline, MissingFileIsEmptyBaseline) {
   const Baseline base =
       Baseline::load(testing::TempDir() + "does_not_exist_baseline.json");
@@ -303,17 +363,12 @@ TEST(LintSarif, RendersTheShapeCiAndCodeScannersExpect) {
   EXPECT_NE(sarif.find("\"physicalLocation\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\""), std::string::npos);
   EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
-  // Balanced braces — cheap structural sanity without a JSON parser.
-  EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '{'),
-            std::count(sarif.begin(), sarif.end(), '}'));
-  EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '['),
-            std::count(sarif.begin(), sarif.end(), ']'));
-}
-
-TEST(LintRender, JsonEscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(pe::lint::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(pe::lint::json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(pe::lint::json_escape(std::string(1, '\x01')), "\\u0001");
+  // The whole log is one standard JSON document with a result per finding.
+  pe::json::Value doc;
+  ASSERT_NO_THROW(doc = pe::json::parse(sarif)) << sarif;
+  ASSERT_EQ(doc.at("runs").items.size(), 1u);
+  EXPECT_EQ(doc.at("runs").items[0].at("results").items.size(),
+            bad.findings.size());
 }
 
 }  // namespace

@@ -157,6 +157,23 @@ TEST(MachineJson, EscapesQuotesAndBackslashes) {
   EXPECT_EQ(back.description, m.description);
 }
 
+TEST(MachineJson, RoundTripsControlCharactersInStrings) {
+  Machine m = sample_machine();
+  m.description = std::string("line one\nline two\r\tend \x01 soh");
+  const std::string text = pe::machine::to_json(m);
+  const Machine back = pe::machine::from_json(text);
+  EXPECT_EQ(back.description, m.description);
+  EXPECT_EQ(pe::machine::to_json(back), text);
+}
+
+TEST(MachineJson, LoadsUnicodeEscapesAsUtf8) {
+  // What Python's json.dump writes for "µs" with its default ensure_ascii.
+  const Machine back = pe::machine::from_json(
+      "{\"name\": \"x\", \"description\": \"\\u00b5s\", \"peak_flops\": 1e9,"
+      " \"hierarchy\": [{\"level\": \"DRAM\", \"bandwidth\": 1e9}]}");
+  EXPECT_EQ(back.description, "\xC2\xB5s");
+}
+
 // --- malformed input: pe::Error with source + line --------------------------
 
 std::string error_message(const std::string& text,

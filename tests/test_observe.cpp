@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/measure/experiment.hpp"
 #include "perfeng/observe/analysis.hpp"
@@ -296,13 +297,9 @@ TEST(ExportTest, CollapsedAndChromeOutputsAreWellFormed) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
+  pe::json::Value doc;
+  ASSERT_NO_THROW(doc = pe::json::parse(json)) << json;
+  EXPECT_FALSE(doc.at("traceEvents").items.empty());
 }
 
 TEST(ExportTest, CaptureRoundTripsThroughSaveAndLoad) {
@@ -337,6 +334,29 @@ TEST(ExportTest, CaptureRoundTripsThroughSaveAndLoad) {
     ASSERT_NE(reloaded.events[i].file, nullptr);
     EXPECT_STREQ(reloaded.events[i].file, trace.events[i].file);
   }
+}
+
+TEST(ExportTest, CaptureRoundTripsEscapedPathsAndFullWidthTimestamps) {
+  TracerConfig cfg;
+  cfg.lanes = 2;
+  cfg.now_ns = sim_now;
+  Tracer tracer(cfg);
+  static const char* const kFile = "dir\\sub\"q.cpp";
+  const std::uint64_t kNs = (std::uint64_t{1} << 60) + 1;  // above 2^53
+  int loop_key = 0;
+  g_sim_now = kNs;
+  tracer.on_event(TraceEventKind::kChunkStart, &loop_key, 0, 1, 1, kFile, 7);
+  const Trace trace = tracer.take();
+  ASSERT_EQ(trace.events.size(), 1u);
+
+  std::stringstream io;
+  trace.save(io);
+  const Trace reloaded = Trace::load(io);
+  ASSERT_EQ(reloaded.events.size(), 1u);
+  EXPECT_EQ(reloaded.events[0].ns, kNs);
+  ASSERT_NE(reloaded.events[0].file, nullptr);
+  EXPECT_STREQ(reloaded.events[0].file, kFile);
+  EXPECT_EQ(reloaded.events[0].line, 7u);
 }
 
 TEST(ExportTest, LoadRejectsMalformedCaptures) {

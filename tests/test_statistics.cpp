@@ -27,7 +27,7 @@ TEST(Statistics, SampleStddev) {
 TEST(Statistics, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(pe::median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(pe::median(std::vector<double>{4.0, 1.0, 2.0, 3.0}), 2.5);
-  EXPECT_THROW(pe::median(std::vector<double>{}), pe::Error);
+  EXPECT_THROW((void)pe::median(std::vector<double>{}), pe::Error);
 }
 
 TEST(Statistics, PercentileInterpolates) {
@@ -35,8 +35,8 @@ TEST(Statistics, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(pe::percentile(v, 0.0), 10.0);
   EXPECT_DOUBLE_EQ(pe::percentile(v, 100.0), 40.0);
   EXPECT_DOUBLE_EQ(pe::percentile(v, 50.0), 25.0);
-  EXPECT_THROW(pe::percentile(v, -1.0), pe::Error);
-  EXPECT_THROW(pe::percentile(v, 101.0), pe::Error);
+  EXPECT_THROW((void)pe::percentile(v, -1.0), pe::Error);
+  EXPECT_THROW((void)pe::percentile(v, 101.0), pe::Error);
 }
 
 class PercentileSweep : public ::testing::TestWithParam<double> {};
@@ -59,13 +59,14 @@ TEST(Statistics, MedianAbsDeviation) {
 TEST(Statistics, GeometricMean) {
   EXPECT_NEAR(pe::geometric_mean(std::vector<double>{1.0, 4.0, 16.0}), 4.0,
               1e-12);
-  EXPECT_THROW(pe::geometric_mean(std::vector<double>{1.0, -1.0}), pe::Error);
+  EXPECT_THROW((void)pe::geometric_mean(std::vector<double>{1.0, -1.0}),
+               pe::Error);
 }
 
 TEST(Statistics, HarmonicMean) {
   EXPECT_NEAR(pe::harmonic_mean(std::vector<double>{1.0, 2.0, 4.0}),
               3.0 / (1.0 + 0.5 + 0.25), 1e-12);
-  EXPECT_THROW(pe::harmonic_mean(std::vector<double>{0.0}), pe::Error);
+  EXPECT_THROW((void)pe::harmonic_mean(std::vector<double>{0.0}), pe::Error);
 }
 
 TEST(Statistics, MeanInequalityHolds) {
@@ -121,7 +122,7 @@ TEST(Statistics, LineFitRecoversSlopeIntercept) {
 TEST(Statistics, LineFitNeedsVariance) {
   const std::vector<double> x = {2.0, 2.0, 2.0};
   const std::vector<double> y = {1.0, 2.0, 3.0};
-  EXPECT_THROW(pe::fit_line(x, y), pe::Error);
+  EXPECT_THROW((void)pe::fit_line(x, y), pe::Error);
 }
 
 TEST(Statistics, SummarizeBundlesEverything) {
