@@ -19,7 +19,6 @@
 #include "perfeng/microbench/op_costs.hpp"
 #include "perfeng/models/analytical.hpp"
 
-using pe::models::Calibration;
 using pe::models::MatmulModel;
 using pe::models::MatmulVariant;
 
@@ -52,8 +51,6 @@ int main() {
   std::puts("\nMeasured per-operation cost table (Agner-Fog stand-in):");
   std::fputs(op_table.render().c_str(), stdout);
 
-  const Calibration calib = Calibration::from_machine(desc);
-
   // ----- matmul at three granularities -----
   pe::Table mm({"n", "variant", "measured", "coarse", "traffic",
                 "instr-level", "best model err %"});
@@ -77,7 +74,7 @@ int main() {
          [&] { pe::kernels::matmul_tiled(a, b, c, 64); }},
     };
     for (const auto& row : rows) {
-      const MatmulModel model(n, row.variant, calib);
+      const MatmulModel model(n, row.variant, desc);
       const auto m = runner.run(row.name, row.kernel);
       const double measured = m.typical();
       const double coarse = model.predict_coarse();
@@ -114,7 +111,7 @@ int main() {
         std::fill(counts.begin(), counts.end(), 0);
         pe::kernels::histogram_serial(idx, counts);
       });
-      const pe::models::HistogramModel model(elements, bins, skew, calib);
+      const pe::models::HistogramModel model(elements, bins, skew, desc);
       hist.add_row({std::to_string(bins),
                     skew == 0.0 ? "uniform" : "zipf(1.2)",
                     pe::format_time(m.typical()),

@@ -79,14 +79,19 @@ int main() {
 
   // Analytical baseline on the same (unstandardized) test rows.
   {
-    pe::models::Calibration calib;  // defaults: explainable but uncalibrated
+    // A textbook machine, not this host: explainable but uncalibrated.
+    pe::machine::Machine textbook;
+    textbook.name = "textbook";
+    textbook.peak_flops = 1e9;
+    textbook.hierarchy = {{"L2", 5e10, 0.0, std::size_t{1} << 21, 64},
+                          {"DRAM", 1e10, 0.0, 0, 64}};
     std::vector<double> predicted, observed;
     for (std::size_t i = 0; i < split.test.rows(); ++i) {
       const auto& f = split.test.row(i);
       const pe::models::SpmvModel model(
           static_cast<std::size_t>(f[0]), static_cast<std::size_t>(f[1]),
           static_cast<std::size_t>(f[2]), pe::models::SpmvFormat::kCsr,
-          0.5, calib);
+          0.5, textbook);
       predicted.push_back(model.predict());
       observed.push_back(split.test.target(i));
     }

@@ -34,9 +34,12 @@ int main() {
   pe::Table mm({"matmul variant", "accesses", "L1 miss %", "L2 miss %",
                 "DRAM lines", "sim DRAM bytes", "model DRAM bytes"});
 
-  pe::models::Calibration calib;
-  calib.cache_bytes = 64 * 1024;  // model knows the L2 capacity
-  calib.line_bytes = 64;
+  // The model knows the scaled L2 capacity and line size.
+  pe::machine::Machine scaled;
+  scaled.name = "scaled-l2";
+  scaled.peak_flops = 1e9;
+  scaled.hierarchy = {{"L2", 5e10, 0.0, 64 * 1024, 64},
+                      {"DRAM", 1e10, 0.0, 0, 64}};
 
   struct Row {
     TraceVariant trace;
@@ -55,7 +58,7 @@ int main() {
     auto h = scaled_hierarchy();
     pe::kernels::trace_matmul(h, n, row.trace, 8);
     const auto s = h.stats();
-    const pe::models::MatmulModel model(n, row.model, calib);
+    const pe::models::MatmulModel model(n, row.model, scaled);
     mm.add_row(
         {row.name, std::to_string(s.total_accesses),
          pe::format_fixed(s.levels[0].miss_rate() * 100.0, 1),

@@ -20,8 +20,8 @@ int main() {
               pe::machine::kMachineEnv);
   std::printf("node: %s per tenant, %s shared; ridge alone at %.2f "
               "FLOP/B\n\n",
-              pe::format_flops(node.peak_flops).c_str(),
-              pe::format_bandwidth(node.total_bandwidth).c_str(),
+              pe::format_flops(node.roof.peak_flops()).c_str(),
+              pe::format_bandwidth(node.roof.memory_bandwidth()).c_str(),
               node.immunity_intensity(1));
 
   // Representative kernels across the intensity axis.

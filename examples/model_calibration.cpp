@@ -28,9 +28,6 @@ int main() {
   std::printf("-> %s  [calibration %s]\n\n", mc.summary().c_str(),
               mc.calibration_hash().c_str());
 
-  const pe::models::Calibration calib =
-      pe::models::Calibration::from_machine(mc);
-
   const std::size_t n = 192;
   pe::kernels::Matrix a(n, n), b(n, n), c(n, n);
   pe::Rng rng(3);
@@ -41,7 +38,7 @@ int main() {
   });
 
   const pe::models::MatmulModel model(
-      n, pe::models::MatmulVariant::kInterchangedIkj, calib);
+      n, pe::models::MatmulVariant::kInterchangedIkj, mc);
   pe::Table t({"granularity", "prediction", "relative error %"});
   const double m = measured.typical();
   for (const auto& [name, prediction] :
@@ -59,7 +56,7 @@ int main() {
   // ECM-style bracketing: in-core vs data-transfer time per invocation.
   pe::models::EcmModel ecm(model.predict_coarse());
   ecm.add_transfer("MEM", "core",
-                   model.dram_bytes() / calib.dram_bandwidth);
+                   model.dram_bytes() / mc.dram_bandwidth());
   std::printf(
       "\nECM bracket: overlapped %s <= measured %s <= serial %s : %s\n",
       pe::format_time(ecm.predict_overlapped()).c_str(),

@@ -54,11 +54,11 @@ std::string Table::render() const {
     std::string s = "|";
     for (std::size_t c = 0; c < row.size(); ++c) {
       const std::size_t pad = width[c] - row[c].size();
-      if (alignment_[c] == Align::kLeft) {
-        s += " " + row[c] + std::string(pad, ' ') + " |";
-      } else {
-        s += " " + std::string(pad, ' ') + row[c] + " |";
-      }
+      s += ' ';
+      if (alignment_[c] == Align::kRight) s.append(pad, ' ');
+      s += row[c];
+      if (alignment_[c] == Align::kLeft) s.append(pad, ' ');
+      s += " |";
     }
     s += "\n";
     return s;

@@ -52,8 +52,10 @@ std::string figure1_ascii(int width) {
 
 Table table1() {
   std::vector<std::string> headers = {"Topic"};
-  for (int s = 1; s <= 7; ++s) headers.push_back("S" + std::to_string(s));
-  for (int o = 1; o <= 8; ++o) headers.push_back("O" + std::to_string(o));
+  for (int s = 1; s <= 7; ++s)
+    headers.push_back(std::string("S").append(std::to_string(s)));
+  for (int o = 1; o <= 8; ++o)
+    headers.push_back(std::string("O").append(std::to_string(o)));
   Table t(headers);
   for (const TopicCoverage& topic : topic_coverage()) {
     std::vector<std::string> row = {topic.topic};

@@ -19,6 +19,8 @@
 /// - The preprocessor-line model joins spliced directives and extracts
 ///   `#include` paths (which live inside string literals and are
 ///   therefore invisible in cooked text).
+/// - `join_lines` and `find_matching` are the one flat text and the one
+///   bracket matcher the multi-line passes (lock-order, wait-loop) share.
 
 #include <cstddef>
 #include <string>
@@ -54,6 +56,17 @@ struct IncludeDirective {
 /// The `#include` subset of `preprocessor_lines`, with paths parsed.
 [[nodiscard]] std::vector<IncludeDirective> include_directives(
     const std::vector<std::string>& raw);
+
+/// `lines` joined into one text, each line ended by '\n', so constructs
+/// that span lines (loop heads, function bodies) are one searchable string
+/// whose newlines map offsets back to 1-based lines.
+[[nodiscard]] std::string join_lines(const std::vector<std::string>& lines);
+
+/// Position of the `close` bracket matching the `open` bracket at `at` in
+/// `text`, counting nesting; npos when unbalanced.
+[[nodiscard]] std::size_t find_matching(const std::string& text,
+                                        std::size_t at, char open,
+                                        char close) noexcept;
 
 /// True when `c` can appear in an identifier.
 [[nodiscard]] bool is_identifier_char(char c) noexcept;

@@ -62,6 +62,25 @@ bool contains_token(const std::string& line,
   return false;
 }
 
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) {
+    text += line;
+    text += '\n';
+  }
+  return text;
+}
+
+std::size_t find_matching(const std::string& text, std::size_t at, char open,
+                          char close) noexcept {
+  int depth = 0;
+  for (std::size_t i = at; i < text.size(); ++i) {
+    if (text[i] == open) ++depth;
+    if (text[i] == close && --depth == 0) return i;
+  }
+  return std::string::npos;
+}
+
 std::vector<std::string> cook_lines(const std::vector<std::string>& raw) {
   std::vector<std::string> out;
   out.reserve(raw.size());

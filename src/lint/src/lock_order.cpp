@@ -108,16 +108,6 @@ std::vector<std::string> split_args(const std::string& args) {
   return out;
 }
 
-std::size_t find_matching(const std::string& s, std::size_t open, char oc,
-                          char cc) {
-  int depth = 0;
-  for (std::size_t i = open; i < s.size(); ++i) {
-    if (s[i] == oc) ++depth;
-    if (s[i] == cc && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
 // ---------------------------------------------------------------------------
 // Phase A+B walker: one pass over a file's cooked text builds class
 // records and per-function event streams.
@@ -131,11 +121,7 @@ struct Scope {
 };
 
 void walk_file(const SourceFile& f, GlobalModel& model, TuModel& tu) {
-  std::string text;
-  for (const std::string& line : f.code) {
-    text += line;
-    text += '\n';
-  }
+  const std::string text = join_lines(f.code);
 
   std::vector<Scope> scopes;
   std::vector<FunctionInfo> open_fns;  // innermost last

@@ -445,7 +445,8 @@ class ModelFromMachinePass final : public Pass {
  public:
   RuleInfo rule() const override {
     return {"model-from-machine",
-            "public model headers expose a from_machine() factory",
+            "public model headers expose a from_machine() factory or take "
+            "a const machine::Machine&",
             Severity::kWarning};
   }
   void run(const PassContext& ctx, std::vector<Finding>& out) const override {
@@ -455,14 +456,16 @@ class ModelFromMachinePass final : public Pass {
       if (file_allows(f, "model-from-machine")) continue;
       const bool has = std::any_of(
           f.code.begin(), f.code.end(), [](const std::string& line) {
-            return line.find("from_machine(") != std::string::npos;
+            return line.find("from_machine(") != std::string::npos ||
+                   line.find("const machine::Machine&") != std::string::npos;
           });
       if (!has)
         out.push_back(make_finding(
             f, 0, rule(),
-            "public model header has no from_machine() factory — every "
-            "model must be constructible from a machine description so the "
-            "composition layer can use it as a leaf (docs/models.md)",
+            "public model header has no from_machine() factory and takes no "
+            "const machine::Machine& — every model must be constructible "
+            "from a machine description so the composition layer can use it "
+            "as a leaf (docs/models.md)",
             "if the model is deliberately machine-independent, add "
             "`perfeng-lint: allow-file(model-from-machine)` with a "
             "rationale"));

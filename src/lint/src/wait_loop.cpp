@@ -24,28 +24,6 @@ bool is_pacified(const std::string& body) {
   return false;
 }
 
-/// Find the position of the ')' matching the '(' at `open` in the flat
-/// text; npos if unbalanced.
-std::size_t match_paren(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '(') ++depth;
-    if (text[i] == ')' && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
-/// Find the position of the '}' matching the '{' at `open`; npos if
-/// unbalanced.
-std::size_t match_brace(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
 std::size_t line_of_offset(const std::string& text, std::size_t offset) {
   std::size_t line = 1;
   for (std::size_t i = 0; i < offset && i < text.size(); ++i)
@@ -66,13 +44,8 @@ void WaitLoopPass::run(const PassContext& ctx,
                        std::vector<Finding>& out) const {
   for (const SourceFile& f : *ctx.files) {
     if (!f.in_src) continue;
-    // Flatten the cooked lines so loop headers and bodies spanning lines
-    // are one searchable text; offsets map back to 1-based lines.
-    std::string text;
-    for (const std::string& line : f.code) {
-      text += line;
-      text += '\n';
-    }
+    // Loop headers and bodies may span lines: search the joined text.
+    const std::string text = join_lines(f.code);
 
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -102,7 +75,7 @@ void WaitLoopPass::run(const PassContext& ctx,
         if (text[i] != ' ' && text[i] != '\n' && text[i] != '\t')
           only_space = false;
       if (!only_space) continue;
-      const std::size_t close = match_paren(text, open);
+      const std::size_t close = find_matching(text, open, '(', ')');
       if (close == std::string::npos) continue;
       const std::string cond = text.substr(open + 1, close - open - 1);
 
@@ -134,7 +107,7 @@ void WaitLoopPass::run(const PassContext& ctx,
       // Body: either a braced block or a single statement up to ';'.
       std::string body;
       if (after < text.size() && text[after] == '{') {
-        const std::size_t end = match_brace(text, after);
+        const std::size_t end = find_matching(text, after, '{', '}');
         if (end == std::string::npos) continue;
         body = text.substr(after + 1, end - after - 1);
       } else {

@@ -107,7 +107,8 @@ Machine from_probe(const pe::microbench::MachineCharacterization& probe,
     bw = std::min(bw, prev_bw);
     lat = std::max(lat, prev_lat);
     m.hierarchy.push_back(
-        {"L" + std::to_string(i + 1), bw, lat, capacities[i], 64});
+        {std::string("L").append(std::to_string(i + 1)), bw, lat,
+         capacities[i], 64});
     prev_bw = bw;
     prev_lat = lat;
   }

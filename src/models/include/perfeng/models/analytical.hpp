@@ -16,8 +16,12 @@
 ///     tables / OSACA).
 ///
 /// Every `predict_*` returns seconds per kernel invocation. All models take
-/// an explicit `Calibration`, which is produced from microbenchmarks — the
-/// models contain no magic constants about the host.
+/// an explicit `machine::Machine` (probed, preset or loaded) and read its
+/// compute and DRAM roofs, the fastest level's bandwidth for
+/// cache-resident sets, the largest cache capacity for reuse, and the
+/// DRAM line granularity — the models contain no magic constants about
+/// the host. Traffic-level predictions are priced by
+/// `RooflineModel::seconds`.
 
 #include <cstddef>
 #include <map>
@@ -27,24 +31,6 @@
 #include "perfeng/models/model_eval.hpp"
 
 namespace pe::models {
-
-/// Machine parameters every analytical model is calibrated from.
-struct Calibration {
-  double peak_flops = 1e9;             ///< FLOP/s roof
-  double dram_bandwidth = 1e10;        ///< bytes/s to memory
-  double cache_bandwidth = 5e10;       ///< bytes/s for cache-resident sets
-  std::size_t cache_bytes = 1u << 21;  ///< effective capacity for reuse
-  std::size_t line_bytes = 64;         ///< cache line granularity
-
-  /// Calibrate from a machine description: compute and DRAM roofs, the
-  /// fastest level's bandwidth for cache-resident sets, the largest cache
-  /// capacity for reuse, and the DRAM line granularity.
-  [[nodiscard]] static Calibration from_machine(const machine::Machine& m);
-};
-
-/// Compose compute and memory time Roofline-style (max = full overlap).
-[[nodiscard]] double traffic_time(double flops, double dram_bytes,
-                                  const Calibration& calib);
 
 // ---------------------------------------------------------------------------
 // Dense matrix multiplication C = A * B (n x n doubles, row-major).
@@ -56,7 +42,8 @@ enum class MatmulVariant { kNaiveIjk, kInterchangedIkj, kTiled };
 /// Analytical matmul model.
 class MatmulModel {
  public:
-  MatmulModel(std::size_t n, MatmulVariant variant, Calibration calib);
+  MatmulModel(std::size_t n, MatmulVariant variant,
+              const machine::Machine& m);
 
   /// Useful work: 2 n^3 (one multiply + one add per inner step).
   [[nodiscard]] double flops() const;
@@ -73,7 +60,8 @@ class MatmulModel {
   [[nodiscard]] double dram_bytes() const;
 
   /// Tile edge used by the tiled traffic model (largest t with
-  /// 3 t^2 doubles <= cache_bytes, floored to a multiple of 8, min 8).
+  /// 3 t^2 doubles <= the largest cache, floored to a multiple of 8,
+  /// min 8).
   [[nodiscard]] std::size_t tile_edge() const;
 
   /// Granularity 1: FLOPs / peak.
@@ -97,7 +85,7 @@ class MatmulModel {
  private:
   std::size_t n_;
   MatmulVariant variant_;
-  Calibration calib_;
+  machine::Machine machine_;
 };
 
 // ---------------------------------------------------------------------------
@@ -115,7 +103,7 @@ class MatmulModel {
 class HistogramModel {
  public:
   HistogramModel(std::size_t elements, std::size_t bins, double zipf_skew,
-                 Calibration calib);
+                 const machine::Machine& m);
 
   /// Probability that a counter update misses the cache under the model.
   [[nodiscard]] double update_miss_probability() const;
@@ -137,7 +125,7 @@ class HistogramModel {
   std::size_t elements_;
   std::size_t bins_;
   double skew_;
-  Calibration calib_;
+  machine::Machine machine_;
 };
 
 // ---------------------------------------------------------------------------
@@ -154,7 +142,7 @@ class SpmvModel {
   /// `x_locality` in [0,1]: fraction of x-gathers that hit in cache
   ///   (1 = banded/structured matrix, 0 = scattered columns).
   SpmvModel(std::size_t rows, std::size_t cols, std::size_t nnz,
-            SpmvFormat format, double x_locality, Calibration calib);
+            SpmvFormat format, double x_locality, const machine::Machine& m);
 
   [[nodiscard]] double flops() const;  ///< 2 nnz
   [[nodiscard]] double dram_bytes() const;
@@ -168,7 +156,7 @@ class SpmvModel {
   std::size_t rows_, cols_, nnz_;
   SpmvFormat format_;
   double x_locality_;
-  Calibration calib_;
+  machine::Machine machine_;
 };
 
 }  // namespace pe::models

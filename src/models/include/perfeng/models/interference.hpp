@@ -15,13 +15,15 @@
 
 #include "perfeng/machine/machine.hpp"
 #include "perfeng/models/model_eval.hpp"
+#include "perfeng/models/roofline.hpp"
 
 namespace pe::models {
 
 /// A node shared by several tenants.
 struct SharedSystemModel {
-  double peak_flops = 1e10;       ///< per-tenant compute roof (private)
-  double total_bandwidth = 2e10;  ///< shared memory bandwidth (bytes/s)
+  /// The node as one tenant sees it alone: the per-tenant (private)
+  /// compute roof over the whole shared memory bandwidth.
+  RooflineModel roof{1e10, 2e10};
 
   /// Calibrate from a machine description: the per-core peak is each
   /// tenant's private compute roof, the DRAM roof is what they share.
@@ -31,7 +33,8 @@ struct SharedSystemModel {
   /// Bandwidth available to one tenant among `tenants` equal co-runners.
   [[nodiscard]] double tenant_bandwidth(unsigned tenants) const;
 
-  /// Roofline execution time of (flops, bytes) with `tenants` co-runners.
+  /// Roofline execution time of (flops, bytes) with `tenants` co-runners:
+  /// the tenant's bandwidth share is its memory roof.
   [[nodiscard]] double kernel_time(double flops, double bytes,
                                    unsigned tenants) const;
 

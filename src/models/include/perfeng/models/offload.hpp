@@ -17,21 +17,9 @@
 
 #include "perfeng/machine/machine.hpp"
 #include "perfeng/models/model_eval.hpp"
+#include "perfeng/models/roofline.hpp"
 
 namespace pe::models {
-
-/// One execution target: a Roofline pair.
-struct DeviceModel {
-  double peak_flops = 1e9;       ///< device compute roof (FLOP/s)
-  double bandwidth = 1e10;       ///< device memory roof (bytes/s)
-
-  /// Calibrate from a machine description: the whole-machine compute
-  /// roof (per-core peak x cores) over the DRAM roof.
-  [[nodiscard]] static DeviceModel from_machine(const machine::Machine& m);
-
-  /// Roofline-attainable execution time for (flops, bytes) of work.
-  [[nodiscard]] double kernel_time(double flops, double bytes) const;
-};
 
 /// Host-device transfer link (PCIe-style): alpha + bytes * beta per copy.
 struct TransferLink {
@@ -41,15 +29,16 @@ struct TransferLink {
   [[nodiscard]] double transfer_time(double bytes) const;
 };
 
-/// Full offload decision model.
+/// Full offload decision model: one execution target per Roofline.
 struct OffloadModel {
-  DeviceModel host;
-  DeviceModel device;
+  RooflineModel host{1e9, 1e10};
+  RooflineModel device{1e9, 1e10};
   TransferLink link;
 
-  /// Calibrate both rooflines from machine descriptions; the transfer
-  /// link comes from the device machine's link coefficients
-  /// (`Machine::has_link()` must hold on `device`).
+  /// Calibrate both rooflines from machine descriptions, each as the
+  /// whole-machine compute roof (per-core peak x cores) over the DRAM
+  /// roof; the transfer link comes from the device machine's link
+  /// coefficients (`Machine::has_link()` must hold on `device`).
   [[nodiscard]] static OffloadModel from_machine(
       const machine::Machine& host, const machine::Machine& device);
 

@@ -58,6 +58,12 @@ class RooflineModel {
   [[nodiscard]] double attainable_at_level(double intensity,
                                            const std::string& label) const;
 
+  /// Predicted seconds of (flops, bytes) of work under the classic two
+  /// roofs: max(flops / peak, bytes / bandwidth), i.e. compute and memory
+  /// traffic fully overlapped. The one place the toolbox turns work into
+  /// roofline time; throws pe::Error on negative work.
+  [[nodiscard]] double seconds(double flops, double bytes) const;
+
   /// Which roof binds at `intensity`.
   [[nodiscard]] Bound bound_at(double intensity) const;
 

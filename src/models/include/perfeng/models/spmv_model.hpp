@@ -21,6 +21,7 @@
 
 #include "perfeng/machine/machine.hpp"
 #include "perfeng/models/model_eval.hpp"
+#include "perfeng/models/roofline.hpp"
 
 namespace pe::models {
 
@@ -36,10 +37,10 @@ struct SpmvShape {
 /// Bandwidth/compute cost model per sparse format.
 class SpmvFormatModel {
  public:
-  SpmvFormatModel(double peak_flops, double dram_bandwidth);
+  explicit SpmvFormatModel(RooflineModel roof);
 
-  /// Calibrate from a machine description: single-core compute roof and
-  /// DRAM bandwidth.
+  /// Calibrate from a machine description: its single-core Roofline
+  /// (compute roof over DRAM bandwidth).
   [[nodiscard]] static SpmvFormatModel from_machine(
       const machine::Machine& m);
 
@@ -51,7 +52,8 @@ class SpmvFormatModel {
   [[nodiscard]] double traffic_bytes(const SpmvShape& shape,
                                      const std::string& format) const;
 
-  /// Predicted seconds: max(memory time, compute floor).
+  /// Predicted seconds: the Roofline time of 2 nnz FLOPs over the
+  /// format's traffic (memory time, floored by the compute roof).
   [[nodiscard]] double predict_seconds(const SpmvShape& shape,
                                        const std::string& format) const;
 
@@ -63,8 +65,7 @@ class SpmvFormatModel {
                                const std::string& format) const;
 
  private:
-  double peak_flops_;
-  double dram_bandwidth_;
+  RooflineModel roof_;
 };
 
 }  // namespace pe::models

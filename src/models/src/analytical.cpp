@@ -4,36 +4,17 @@
 #include <cmath>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/models/roofline.hpp"
 
 namespace pe::models {
-
-Calibration Calibration::from_machine(const machine::Machine& m) {
-  m.check();
-  Calibration calib;
-  calib.peak_flops = m.peak_flops;
-  calib.dram_bandwidth = m.dram_bandwidth();
-  calib.cache_bandwidth = m.cache_bandwidth();
-  calib.cache_bytes = m.largest_cache_bytes();
-  calib.line_bytes = m.dram().line_bytes;
-  return calib;
-}
-
-double traffic_time(double flops, double dram_bytes,
-                    const Calibration& calib) {
-  PE_REQUIRE(flops >= 0.0 && dram_bytes >= 0.0, "negative work");
-  const double t_compute = flops / calib.peak_flops;
-  const double t_memory = dram_bytes / calib.dram_bandwidth;
-  return std::max(t_compute, t_memory);
-}
 
 // --------------------------------------------------------------- MatmulModel
 
 MatmulModel::MatmulModel(std::size_t n, MatmulVariant variant,
-                         Calibration calib)
-    : n_(n), variant_(variant), calib_(calib) {
+                         const machine::Machine& m)
+    : n_(n), variant_(variant), machine_(m) {
   PE_REQUIRE(n >= 1, "matrix order must be positive");
-  PE_REQUIRE(calib.peak_flops > 0.0 && calib.dram_bandwidth > 0.0,
-             "calibration must be positive");
+  m.check();
 }
 
 double MatmulModel::flops() const {
@@ -43,7 +24,8 @@ double MatmulModel::flops() const {
 
 std::size_t MatmulModel::tile_edge() const {
   std::size_t t = 8;
-  while (3 * (t * 2) * (t * 2) * sizeof(double) <= calib_.cache_bytes)
+  while (3 * (t * 2) * (t * 2) * sizeof(double) <=
+         machine_.largest_cache_bytes())
     t *= 2;
   return std::min(t, n_);
 }
@@ -51,7 +33,8 @@ std::size_t MatmulModel::tile_edge() const {
 double MatmulModel::dram_bytes() const {
   const double nd = static_cast<double>(n_);
   const double matrix_bytes = nd * nd * sizeof(double);
-  const bool b_resident = matrix_bytes <= static_cast<double>(calib_.cache_bytes);
+  const bool b_resident =
+      matrix_bytes <= static_cast<double>(machine_.largest_cache_bytes());
   // C is read and written once (write-allocate): 2 n^2 doubles of traffic.
   const double c_traffic = 2.0 * matrix_bytes;
   const double a_traffic = matrix_bytes;  // streamed row-wise with reuse
@@ -62,7 +45,8 @@ double MatmulModel::dram_bytes() const {
       // cache-resident.
       const double b_traffic =
           b_resident ? matrix_bytes
-                     : nd * nd * nd * static_cast<double>(calib_.line_bytes);
+                     : nd * nd * nd *
+                           static_cast<double>(machine_.dram().line_bytes);
       return a_traffic + b_traffic + c_traffic;
     }
     case MatmulVariant::kInterchangedIkj: {
@@ -84,11 +68,11 @@ double MatmulModel::dram_bytes() const {
 }
 
 double MatmulModel::predict_coarse() const {
-  return flops() / calib_.peak_flops;
+  return flops() / machine_.peak_flops;
 }
 
 double MatmulModel::predict_traffic() const {
-  return traffic_time(flops(), dram_bytes(), calib_);
+  return RooflineModel::from_machine(machine_).seconds(flops(), dram_bytes());
 }
 
 double MatmulModel::predict_instruction(
@@ -108,17 +92,18 @@ double MatmulModel::predict_instruction(
 // ------------------------------------------------------------ HistogramModel
 
 HistogramModel::HistogramModel(std::size_t elements, std::size_t bins,
-                               double zipf_skew, Calibration calib)
-    : elements_(elements), bins_(bins), skew_(zipf_skew), calib_(calib) {
+                               double zipf_skew, const machine::Machine& m)
+    : elements_(elements), bins_(bins), skew_(zipf_skew), machine_(m) {
   PE_REQUIRE(elements >= 1, "need at least one element");
   PE_REQUIRE(bins >= 1, "need at least one bin");
   PE_REQUIRE(zipf_skew >= 0.0, "skew must be non-negative");
+  m.check();
 }
 
 double HistogramModel::update_miss_probability() const {
   const double table_bytes =
       static_cast<double>(bins_) * sizeof(std::uint64_t);
-  const double cache = static_cast<double>(calib_.cache_bytes);
+  const double cache = static_cast<double>(machine_.largest_cache_bytes());
   if (table_bytes <= cache) return 0.0;
 
   const std::size_t resident_bins =
@@ -142,9 +127,9 @@ double HistogramModel::update_miss_probability() const {
 double HistogramModel::dram_bytes() const {
   const double input_bytes = static_cast<double>(elements_) * sizeof(float);
   // A missing counter update costs a full line in and (eventually) out.
-  const double miss_bytes = update_miss_probability() *
-                            static_cast<double>(elements_) *
-                            2.0 * static_cast<double>(calib_.line_bytes);
+  const double miss_bytes =
+      update_miss_probability() * static_cast<double>(elements_) * 2.0 *
+      static_cast<double>(machine_.dram().line_bytes);
   return input_bytes + miss_bytes;
 }
 
@@ -152,29 +137,31 @@ double HistogramModel::predict_coarse() const {
   // One load + one increment per element at cache speed.
   const double bytes_touched =
       static_cast<double>(elements_) * (sizeof(float) + 2.0 * sizeof(std::uint64_t));
-  return bytes_touched / calib_.cache_bandwidth;
+  return bytes_touched / machine_.cache_bandwidth();
 }
 
 double HistogramModel::predict_traffic() const {
   const double cache_time = predict_coarse();
-  const double dram_time = dram_bytes() / calib_.dram_bandwidth;
+  const double dram_time = dram_bytes() / machine_.dram_bandwidth();
   return std::max(cache_time, dram_time);
 }
 
 // ----------------------------------------------------------------- SpmvModel
 
 SpmvModel::SpmvModel(std::size_t rows, std::size_t cols, std::size_t nnz,
-                     SpmvFormat format, double x_locality, Calibration calib)
+                     SpmvFormat format, double x_locality,
+                     const machine::Machine& m)
     : rows_(rows),
       cols_(cols),
       nnz_(nnz),
       format_(format),
       x_locality_(x_locality),
-      calib_(calib) {
+      machine_(m) {
   PE_REQUIRE(rows >= 1 && cols >= 1, "matrix must be non-empty");
   PE_REQUIRE(nnz >= 1, "need at least one non-zero");
   PE_REQUIRE(x_locality >= 0.0 && x_locality <= 1.0,
              "x locality must be in [0,1]");
+  m.check();
 }
 
 double SpmvModel::flops() const { return 2.0 * static_cast<double>(nnz_); }
@@ -183,7 +170,7 @@ double SpmvModel::dram_bytes() const {
   const double nnz = static_cast<double>(nnz_);
   const double rows = static_cast<double>(rows_);
   const double cols = static_cast<double>(cols_);
-  const double line = static_cast<double>(calib_.line_bytes);
+  const double line = static_cast<double>(machine_.dram().line_bytes);
 
   // Values are 8 bytes, indices 4 bytes, all streamed exactly once.
   double index_stream = 0.0;
@@ -214,7 +201,7 @@ double SpmvModel::dram_bytes() const {
 }
 
 double SpmvModel::predict() const {
-  return traffic_time(flops(), dram_bytes(), calib_);
+  return RooflineModel::from_machine(machine_).seconds(flops(), dram_bytes());
 }
 
 namespace {

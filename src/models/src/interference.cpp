@@ -1,6 +1,5 @@
 #include "perfeng/models/interference.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "perfeng/common/error.hpp"
@@ -9,21 +8,18 @@ namespace pe::models {
 
 SharedSystemModel SharedSystemModel::from_machine(
     const machine::Machine& m) {
-  m.check();
-  return {m.peak_flops, m.dram_bandwidth()};
+  return {RooflineModel::from_machine(m)};
 }
 
 double SharedSystemModel::tenant_bandwidth(unsigned tenants) const {
   PE_REQUIRE(tenants >= 1, "need at least one tenant");
-  PE_REQUIRE(total_bandwidth > 0.0 && peak_flops > 0.0,
-             "roofs must be positive");
-  return total_bandwidth / static_cast<double>(tenants);
+  return roof.memory_bandwidth() / static_cast<double>(tenants);
 }
 
 double SharedSystemModel::kernel_time(double flops, double bytes,
                                       unsigned tenants) const {
-  PE_REQUIRE(flops >= 0.0 && bytes >= 0.0, "negative work");
-  return std::max(flops / peak_flops, bytes / tenant_bandwidth(tenants));
+  return RooflineModel(roof.peak_flops(), tenant_bandwidth(tenants))
+      .seconds(flops, bytes);
 }
 
 double SharedSystemModel::slowdown(double flops, double bytes,
@@ -35,7 +31,7 @@ double SharedSystemModel::slowdown(double flops, double bytes,
 
 double SharedSystemModel::immunity_intensity(unsigned tenants) const {
   // Compute time >= shared memory time iff AI >= peak / (BW / tenants).
-  return peak_flops / tenant_bandwidth(tenants);
+  return roof.peak_flops() / tenant_bandwidth(tenants);
 }
 
 unsigned SharedSystemModel::estimate_tenants(double flops, double bytes,

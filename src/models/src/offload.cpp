@@ -1,6 +1,5 @@
 #include "perfeng/models/offload.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -8,24 +7,21 @@
 
 namespace pe::models {
 
-DeviceModel DeviceModel::from_machine(const machine::Machine& m) {
+namespace {
+
+RooflineModel whole_machine_roof(const machine::Machine& m) {
   m.check();
   return {m.total_peak_flops(), m.dram_bandwidth()};
 }
+
+}  // namespace
 
 OffloadModel OffloadModel::from_machine(const machine::Machine& host,
                                         const machine::Machine& device) {
   PE_REQUIRE(device.has_link(),
              "device machine carries no transfer-link coefficients");
-  return {DeviceModel::from_machine(host), DeviceModel::from_machine(device),
+  return {whole_machine_roof(host), whole_machine_roof(device),
           {device.link_alpha, device.link_beta}};
-}
-
-double DeviceModel::kernel_time(double flops, double bytes) const {
-  PE_REQUIRE(flops >= 0.0 && bytes >= 0.0, "negative work");
-  PE_REQUIRE(peak_flops > 0.0 && bandwidth > 0.0,
-             "device roofs must be positive");
-  return std::max(flops / peak_flops, bytes / bandwidth);
 }
 
 double TransferLink::transfer_time(double bytes) const {
@@ -36,7 +32,7 @@ double TransferLink::transfer_time(double bytes) const {
 }
 
 double OffloadModel::host_time(double flops, double bytes) const {
-  return host.kernel_time(flops, bytes);
+  return host.seconds(flops, bytes);
 }
 
 double OffloadModel::offload_time(double flops, double input_bytes,
@@ -44,7 +40,7 @@ double OffloadModel::offload_time(double flops, double input_bytes,
   // The transferred payload is also what the device kernel reads/writes.
   const double device_bytes = input_bytes + output_bytes;
   return link.transfer_time(input_bytes) +
-         device.kernel_time(flops, device_bytes) +
+         device.seconds(flops, device_bytes) +
          link.transfer_time(output_bytes);
 }
 
@@ -60,8 +56,8 @@ double OffloadModel::amortization_factor(double flops, double bytes,
                                          double input_bytes,
                                          double output_bytes) const {
   PE_REQUIRE(flops > 0.0, "work must be positive");
-  const double host_unit = host.kernel_time(flops, bytes);
-  const double device_unit = device.kernel_time(flops, bytes);
+  const double host_unit = host.seconds(flops, bytes);
+  const double device_unit = device.seconds(flops, bytes);
   if (device_unit >= host_unit)
     return std::numeric_limits<double>::infinity();
   const double transfers = link.transfer_time(input_bytes) +

@@ -1,9 +1,9 @@
 #include "perfeng/models/queuing.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/models/roofline.hpp"
 
 namespace pe::models {
 
@@ -87,13 +87,8 @@ double interactive_response_time(double users, double throughput,
 ServiceModel ServiceModel::from_machine(const machine::Machine& m,
                                         double flops_per_request,
                                         double bytes_per_request) {
-  m.check();
-  PE_REQUIRE(flops_per_request >= 0.0 && bytes_per_request >= 0.0,
-             "negative work per request");
-  // Single-core Roofline time per request (max = full overlap).
-  const double seconds =
-      std::max(flops_per_request / m.peak_flops,
-               bytes_per_request / m.dram_bandwidth());
+  const double seconds = RooflineModel::from_machine(m).seconds(
+      flops_per_request, bytes_per_request);
   PE_REQUIRE(seconds > 0.0, "request needs some work");
   return {1.0 / seconds, m.cores};
 }

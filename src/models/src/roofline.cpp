@@ -69,6 +69,11 @@ double RooflineModel::attainable_at_level(double intensity,
   throw Error("roofline: no ceiling labeled '" + label + "'");
 }
 
+double RooflineModel::seconds(double flops, double bytes) const {
+  PE_REQUIRE(flops >= 0.0 && bytes >= 0.0, "negative work");
+  return std::max(flops / peak_flops_, bytes / memory_bandwidth_);
+}
+
 Bound RooflineModel::bound_at(double intensity) const {
   return intensity < ridge_intensity() ? Bound::kMemory : Bound::kCompute;
 }
@@ -116,7 +121,7 @@ ModelEval RooflineModel::eval(const KernelCharacterization& kernel) const {
   PE_REQUIRE(kernel.flops > 0.0, "kernel needs a FLOP count");
   PE_REQUIRE(kernel.bytes > 0.0, "kernel needs a byte count");
   Evaluation e;
-  e.seconds = kernel.flops / attainable(kernel.intensity());
+  e.seconds = seconds(kernel.flops, kernel.bytes);
   e.footprint.flops = kernel.flops;
   e.footprint.bytes = kernel.bytes;
   return ModelEval::constant("roofline." + kernel.name, e);

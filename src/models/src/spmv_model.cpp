@@ -1,6 +1,7 @@
 #include "perfeng/models/spmv_model.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "perfeng/common/error.hpp"
 
@@ -13,14 +14,11 @@ constexpr double kIndexBytes = 4.0;  // uint32_t
 
 }  // namespace
 
-SpmvFormatModel::SpmvFormatModel(double peak_flops, double dram_bandwidth)
-    : peak_flops_(peak_flops), dram_bandwidth_(dram_bandwidth) {
-  PE_REQUIRE(peak_flops > 0.0, "peak FLOP/s must be positive");
-  PE_REQUIRE(dram_bandwidth > 0.0, "DRAM bandwidth must be positive");
-}
+SpmvFormatModel::SpmvFormatModel(RooflineModel roof)
+    : roof_(std::move(roof)) {}
 
 SpmvFormatModel SpmvFormatModel::from_machine(const machine::Machine& m) {
-  return SpmvFormatModel(m.peak_flops, m.dram_bandwidth());
+  return SpmvFormatModel(RooflineModel::from_machine(m));
 }
 
 const std::vector<std::string>& SpmvFormatModel::format_names() {
@@ -70,9 +68,7 @@ double SpmvFormatModel::traffic_bytes(const SpmvShape& shape,
 
 double SpmvFormatModel::predict_seconds(const SpmvShape& shape,
                                         const std::string& format) const {
-  const double memory = traffic_bytes(shape, format) / dram_bandwidth_;
-  const double compute = 2.0 * shape.nnz / peak_flops_;
-  return std::max(memory, compute);
+  return roof_.seconds(2.0 * shape.nnz, traffic_bytes(shape, format));
 }
 
 std::string SpmvFormatModel::choose(const SpmvShape& shape) const {

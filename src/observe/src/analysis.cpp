@@ -57,8 +57,11 @@ Table LatencyReport::to_table() const {
   Table t({"submit->start (ns)", "count"});
   for (const HistogramBucket& b : log2_histogram(samples_ns)) {
     if (b.count == 0) continue;
-    t.add_row({"[" + std::to_string(b.lo_ns) + ", " +
-                   std::to_string(b.hi_ns) + ")",
+    t.add_row({std::string("[")
+                   .append(std::to_string(b.lo_ns))
+                   .append(", ")
+                   .append(std::to_string(b.hi_ns))
+                   .append(")"),
                std::to_string(b.count)});
   }
   t.add_row({"p50", format_sig(p50_ns, 4)});

@@ -7,28 +7,19 @@
 
 namespace {
 
-using pe::models::Calibration;
 using pe::models::HistogramModel;
 using pe::models::MatmulModel;
 using pe::models::MatmulVariant;
 using pe::models::SpmvFormat;
 using pe::models::SpmvModel;
 
-Calibration calib() {
-  Calibration c;
-  c.peak_flops = 1e10;
-  c.dram_bandwidth = 1e10;
-  c.cache_bandwidth = 1e11;
-  c.cache_bytes = 1 << 21;  // 2 MiB
-  c.line_bytes = 64;
-  return c;
-}
-
-TEST(TrafficTime, RooflineComposition) {
-  // Compute-bound: 1e10 FLOPs at 1e10 FLOP/s = 1 s > memory 0.1 s.
-  EXPECT_DOUBLE_EQ(pe::models::traffic_time(1e10, 1e9, calib()), 1.0);
-  // Memory-bound.
-  EXPECT_DOUBLE_EQ(pe::models::traffic_time(1e8, 1e10, calib()), 1.0);
+pe::machine::Machine calib() {
+  pe::machine::Machine m;
+  m.name = "analytical-test";
+  m.peak_flops = 1e10;
+  m.hierarchy = {{"L2", 1e11, 0.0, 1 << 21, 64},  // 2 MiB
+                 {"DRAM", 1e10, 0.0, 0, 64}};
+  return m;
 }
 
 TEST(MatmulModel, FlopsAreTwoNCubed) {
@@ -59,9 +50,10 @@ TEST(MatmulModel, TileEdgeFitsThreeBlocks) {
   const MatmulModel m(4096, MatmulVariant::kTiled, calib());
   const std::size_t t = m.tile_edge();
   EXPECT_GE(t, 8u);
-  EXPECT_LE(3 * t * t * sizeof(double), calib().cache_bytes * 4);
+  EXPECT_LE(3 * t * t * sizeof(double), calib().largest_cache_bytes() * 4);
   // Doubling must not fit (maximality up to the power-of-two step).
-  EXPECT_GT(3 * (2 * t) * (2 * t) * sizeof(double), calib().cache_bytes);
+  EXPECT_GT(3 * (2 * t) * (2 * t) * sizeof(double),
+            calib().largest_cache_bytes());
 }
 
 TEST(MatmulModel, TileEdgeCappedByMatrixOrder) {
@@ -105,13 +97,13 @@ TEST(HistogramModel, SmallTableNeverMisses) {
 
 TEST(HistogramModel, UniformMissesScaleWithTableExcess) {
   // Table 4x the cache: resident fraction 1/4 -> miss 3/4.
-  const std::size_t bins = calib().cache_bytes / 8 * 4;
+  const std::size_t bins = calib().largest_cache_bytes() / 8 * 4;
   const HistogramModel m(1 << 20, bins, 0.0, calib());
   EXPECT_NEAR(m.update_miss_probability(), 0.75, 1e-9);
 }
 
 TEST(HistogramModel, SkewReducesMisses) {
-  const std::size_t bins = calib().cache_bytes / 8 * 16;
+  const std::size_t bins = calib().largest_cache_bytes() / 8 * 16;
   const HistogramModel uniform(1 << 20, bins, 0.0, calib());
   const HistogramModel skewed(1 << 20, bins, 1.2, calib());
   EXPECT_LT(skewed.update_miss_probability(),

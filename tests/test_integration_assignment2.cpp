@@ -11,7 +11,6 @@
 
 namespace {
 
-using pe::models::Calibration;
 using pe::models::MatmulModel;
 using pe::models::MatmulVariant;
 
@@ -19,6 +18,16 @@ using pe::models::MatmulVariant;
 constexpr double kCycle = 1e-9;
 constexpr double kFmaLatency = 4.0;
 constexpr int kFmaPorts = 2;
+
+// The same synthetic machine's roofs and caches for the traffic model.
+pe::machine::Machine synthetic_machine() {
+  pe::machine::Machine m;
+  m.name = "synthetic";
+  m.peak_flops = 1e9;
+  m.hierarchy = {{"L2", 5e10, 0.0, std::size_t{1} << 21, 64},
+                 {"DRAM", 1e10, 0.0, 0, 64}};
+  return m;
+}
 
 pe::microbench::OpCostTable synthetic_ops() {
   pe::microbench::OpCostTable ops;
@@ -32,7 +41,7 @@ TEST(Assignment2, InstructionModelMatchesPipelineSimulator) {
   // chain) costs the FMA latency per step; interchanged costs the
   // throughput. The cycle-accurate pipeline simulator must agree.
   const auto ops = synthetic_ops();
-  Calibration calib;
+  const auto calib = synthetic_machine();
   const std::size_t n = 64;
   const double steps = double(n) * n * n;
 
@@ -62,14 +71,14 @@ TEST(Assignment2, EcmBracketsTheTrafficModel) {
   // Compose an ECM model from the same calibration the traffic model
   // uses: its [overlapped, serial] window must contain the Roofline-style
   // prediction (max composition) by construction, for every variant.
-  Calibration calib;
+  const auto calib = synthetic_machine();
   for (const auto variant :
        {MatmulVariant::kNaiveIjk, MatmulVariant::kInterchangedIkj,
         MatmulVariant::kTiled}) {
     const MatmulModel model(1024, variant, calib);
     pe::models::EcmModel ecm(model.predict_coarse());
     ecm.add_transfer("MEM", "core",
-                     model.dram_bytes() / calib.dram_bandwidth);
+                     model.dram_bytes() / calib.dram_bandwidth());
     const double traffic = model.predict_traffic();
     EXPECT_GE(traffic, ecm.predict_overlapped() * 0.999)
         << static_cast<int>(variant);
@@ -82,7 +91,7 @@ TEST(Assignment2, GranularityLadderOrdersErrorsOnASyntheticTruth) {
   // Construct a "ground truth" runtime that follows the traffic model,
   // then check the coarse model under-predicts the naive variant while
   // the traffic model is exact — the granularity lesson in miniature.
-  Calibration calib;
+  const auto calib = synthetic_machine();
   const std::size_t n = 2048;  // beyond cache: variants diverge
   const MatmulModel naive(n, MatmulVariant::kNaiveIjk, calib);
   const double truth = naive.predict_traffic();

@@ -17,11 +17,19 @@ using pe::kernels::SparsityPattern;
 // the statistical models must learn it from features alone. Using the
 // analytical model as the data generator keeps this integration test
 // fast and deterministic while exercising the full modeling pipeline.
+pe::machine::Machine textbook_machine() {
+  pe::machine::Machine m;
+  m.name = "textbook";
+  m.peak_flops = 1e9;
+  m.hierarchy = {{"L2", 5e10, 0.0, std::size_t{1} << 21, 64},
+                 {"DRAM", 1e10, 0.0, 0, 64}};
+  return m;
+}
+
 double synthetic_runtime(const pe::kernels::CsrMatrix& m, pe::Rng& rng) {
-  pe::models::Calibration calib;
   const pe::models::SpmvModel model(m.rows, m.cols, m.nnz(),
                                     pe::models::SpmvFormat::kCsr, 0.5,
-                                    calib);
+                                    textbook_machine());
   return model.predict() * rng.next_range_double(0.95, 1.05);
 }
 
@@ -70,7 +78,7 @@ TEST(Assignment3, StatisticalModelsPredictSpmvRuntime) {
 TEST(Assignment3, AnalyticalModelRanksFormatsLikeTrafficSays) {
   // The analytical baseline the statistical models are compared against:
   // COO > CSR in traffic for the same matrix.
-  pe::models::Calibration calib;
+  const auto calib = textbook_machine();
   pe::Rng rng(7);
   const auto csr = pe::kernels::coo_to_csr(pe::kernels::generate_sparse(
       500, 500, 0.01, SparsityPattern::kUniform, rng));

@@ -41,7 +41,8 @@ TEST(CourseStack, MetricsCsvMatchesEvaluationData) {
   ASSERT_EQ(doc.rows.size(), agreement.size() + evaluation_level().size());
   // Spot-check the first row's histogram fields against the data module.
   for (int score = 1; score <= 5; ++score) {
-    EXPECT_EQ(doc.rows[0][doc.column("c" + std::to_string(score))],
+    EXPECT_EQ(doc.rows[0][doc.column(
+                  std::string("c").append(std::to_string(score)))],
               std::to_string(agreement[0].counts[score - 1]));
   }
 }
@@ -56,7 +57,8 @@ TEST(CourseStack, Table1ColumnsTrackTopicCoverage) {
       const bool expected =
           std::find(topics[i].stages.begin(), topics[i].stages.end(), s) !=
           topics[i].stages.end();
-      const auto& cell = doc.rows[i][doc.column("S" + std::to_string(s))];
+      const auto& cell =
+          doc.rows[i][doc.column(std::string("S").append(std::to_string(s)))];
       EXPECT_EQ(cell == "x", expected) << topics[i].topic << " S" << s;
     }
     for (int o = 1; o <= 8; ++o) {
@@ -64,7 +66,8 @@ TEST(CourseStack, Table1ColumnsTrackTopicCoverage) {
           std::find(topics[i].objectives.begin(),
                     topics[i].objectives.end(),
                     o) != topics[i].objectives.end();
-      const auto& cell = doc.rows[i][doc.column("O" + std::to_string(o))];
+      const auto& cell =
+          doc.rows[i][doc.column(std::string("O").append(std::to_string(o)))];
       EXPECT_EQ(cell == "x", expected) << topics[i].topic << " O" << o;
     }
   }

@@ -10,7 +10,7 @@ namespace {
 
 using pe::models::SharedSystemModel;
 
-SharedSystemModel node() { return {1e10, 2e10}; }  // ridge alone at 0.5
+SharedSystemModel node() { return {{1e10, 2e10}}; }  // ridge alone at 0.5
 
 TEST(Interference, BandwidthSplitsEvenly) {
   EXPECT_DOUBLE_EQ(node().tenant_bandwidth(1), 2e10);

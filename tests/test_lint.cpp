@@ -1,8 +1,9 @@
 // Tests for the pe::lint static-analysis subsystem: the comment/string/
 // raw-string-aware lexer, the declared-DAG repo model, the three
-// whole-program passes and the trace-hook guard against seeded
-// positive/negative fixture twins (tests/lint_fixtures/), the waiver
-// grammar, the baseline diff, and the SARIF 2.1.0 render shape.
+// whole-program passes, the trace-hook guard and the model-from-machine
+// rule against seeded positive/negative fixture twins
+// (tests/lint_fixtures/), the waiver grammar, the baseline diff, and the
+// SARIF 2.1.0 render shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,6 +227,19 @@ TEST(LintTraceHookGuard, FlagsDirectOnEventCallsAndClearsMacroTwin) {
   // defines it.
   const auto clean = lint_fixture("clean", {"trace-hook-guard"});
   EXPECT_TRUE(with_rule(clean, "trace-hook-guard").empty())
+      << pe::lint::render_text(clean.findings, clean.files_scanned);
+}
+
+TEST(LintModelFromMachine, FlagsPositionalOnlyModelAndClearsMachineTwins) {
+  const auto bad = lint_fixture("bad", {"model-from-machine"});
+  const auto findings = with_rule(bad, "model-from-machine");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file,
+            "src/models/include/perfeng/models/positional.hpp");
+
+  // A from_machine() factory and a Machine-taking constructor both count.
+  const auto clean = lint_fixture("clean", {"model-from-machine"});
+  EXPECT_TRUE(with_rule(clean, "model-from-machine").empty())
       << pe::lint::render_text(clean.findings, clean.files_scanned);
 }
 

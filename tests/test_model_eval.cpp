@@ -93,7 +93,7 @@ TEST(EvalAdapters, OffloadHostVsDeviceMatchTheDecisionModel) {
 }
 
 TEST(EvalAdapters, InterferencePricesCoRunners) {
-  const SharedSystemModel shared{1e10, 2e10};
+  const SharedSystemModel shared{{1e10, 2e10}};
   const double flops = 1e8, bytes = 1e9;
   const ModelEval alone = shared.eval(flops, bytes, 1);
   const ModelEval crowded = shared.eval(flops, bytes, 4);

@@ -20,13 +20,6 @@ OffloadModel typical() {
   return m;
 }
 
-TEST(DeviceModel, RooflineKernelTime) {
-  const DeviceModel d{1e9, 1e10};
-  EXPECT_DOUBLE_EQ(d.kernel_time(1e9, 1e6), 1.0);     // compute-bound
-  EXPECT_DOUBLE_EQ(d.kernel_time(1e3, 1e10), 1.0);    // memory-bound
-  EXPECT_THROW((void)d.kernel_time(-1.0, 0.0), pe::Error);
-}
-
 TEST(TransferLink, AlphaBetaCost) {
   const TransferLink l{1e-5, 1e-10};
   EXPECT_DOUBLE_EQ(l.transfer_time(0), 0.0);  // nothing to copy
@@ -49,7 +42,7 @@ TEST(Offload, OffloadTimeDecomposes) {
   const auto m = typical();
   const double flops = 1e9, in = 1e6, out = 1e6;
   const double expected = m.link.transfer_time(in) +
-                          m.device.kernel_time(flops, in + out) +
+                          m.device.seconds(flops, in + out) +
                           m.link.transfer_time(out);
   EXPECT_DOUBLE_EQ(m.offload_time(flops, in, out), expected);
 }
@@ -79,9 +72,9 @@ TEST(Amortization, FiniteWhenDeviceFasterPerKernel) {
   EXPECT_GT(w, 0.0);
   EXPECT_TRUE(std::isfinite(w));
   // At w kernels, host time equals offload time by construction.
-  const double host = w * m.host.kernel_time(1e8, 1e6);
+  const double host = w * m.host.seconds(1e8, 1e6);
   const double dev = m.link.transfer_time(1e7) + m.link.transfer_time(1e7) +
-                     w * m.device.kernel_time(1e8, 1e6);
+                     w * m.device.seconds(1e8, 1e6);
   EXPECT_NEAR(host, dev, host * 1e-9);
 }
 

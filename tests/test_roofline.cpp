@@ -75,6 +75,28 @@ TEST(Roofline, KernelCharacterizationIntensity) {
   EXPECT_NEAR(kc.intensity(), 1.0 / 12.0, 1e-15);
 }
 
+TEST(RooflineSeconds, ComputeBound) {
+  // 1e9 FLOPs at 1e9 FLOP/s = 1 s > memory 1e-4 s.
+  EXPECT_DOUBLE_EQ(RooflineModel(1e9, 1e10).seconds(1e9, 1e6), 1.0);
+  // 1e10 FLOPs at 1e10 FLOP/s = 1 s > memory 0.1 s.
+  EXPECT_DOUBLE_EQ(RooflineModel(1e10, 1e10).seconds(1e10, 1e9), 1.0);
+}
+
+TEST(RooflineSeconds, MemoryBound) {
+  EXPECT_DOUBLE_EQ(RooflineModel(1e9, 1e10).seconds(1e3, 1e10), 1.0);
+  EXPECT_DOUBLE_EQ(RooflineModel(1e10, 1e10).seconds(1e8, 1e10), 1.0);
+}
+
+TEST(RooflineSeconds, ZeroWorkTakesNoTime) {
+  EXPECT_DOUBLE_EQ(RooflineModel(1e9, 1e10).seconds(0.0, 0.0), 0.0);
+}
+
+TEST(RooflineSeconds, NegativeWorkThrows) {
+  const RooflineModel roof(1e9, 1e10);
+  EXPECT_THROW((void)roof.seconds(-1.0, 0.0), pe::Error);
+  EXPECT_THROW((void)roof.seconds(0.0, -1.0), pe::Error);
+}
+
 TEST(Roofline, PlacementClassifiesMemoryBoundKernel) {
   // STREAM-like kernel: intensity 1/12 << ridge 10.
   const KernelCharacterization kc{"triad", 2e8, 2.4e9};

@@ -271,7 +271,8 @@ std::vector<std::string> campaign(std::uint64_t seed) {
   Harness h(std::move(config));
   std::vector<SubmitResult> results;
   for (int i = 0; i < 40; ++i) {
-    results.push_back(h.submit("t", "w" + std::to_string(i)));
+    results.push_back(
+        h.submit("t", std::string("w").append(std::to_string(i))));
   }
   std::vector<std::string> states;
   for (const SubmitResult& r : results) {

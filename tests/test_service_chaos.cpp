@@ -92,9 +92,9 @@ TEST(ServiceChaos, TerminalStateInvariantUnderCombinedChaos) {
       // expired-in-queue shedding.
       const double deadline = i % 3 == 0 ? 1e-9 : 0.0;
       results.push_back(service.submit(
-          request_of("tenant" + std::to_string(i % 4),
-                     "w" + std::to_string(i % 25), tiny_kernel(),
-                     deadline)));
+          request_of(std::string("tenant").append(std::to_string(i % 4)),
+                     std::string("w").append(std::to_string(i % 25)),
+                     tiny_kernel(), deadline)));
     }
     // Recovery phase: the flood above may burn every executing run on
     // the bounded kernel-fault budget and trip every flooded tenant's
@@ -260,7 +260,8 @@ TEST(ServiceChaos, DestructionMidCampaignLosesNothing) {
     while (service.stats().workloads_run == 0) std::this_thread::yield();
     for (int i = 0; i < 4; ++i) {
       results.push_back(
-          service.submit(request_of("t", "q" + std::to_string(i))));
+          service.submit(request_of(
+              "t", std::string("q").append(std::to_string(i)))));
     }
     service.stop();
     release->store(true);

@@ -26,9 +26,9 @@ SpmvShape square_shape() {
 }
 
 TEST(SpmvModel, ConstructionValidated) {
-  EXPECT_THROW(SpmvFormatModel(0.0, 1e10), pe::Error);
-  EXPECT_THROW(SpmvFormatModel(1e9, -1.0), pe::Error);
-  EXPECT_NO_THROW(SpmvFormatModel(1e9, 1e10));
+  EXPECT_THROW(SpmvFormatModel({0.0, 1e10}), pe::Error);
+  EXPECT_THROW(SpmvFormatModel({1e9, -1.0}), pe::Error);
+  EXPECT_NO_THROW(SpmvFormatModel({1e9, 1e10}));
 }
 
 TEST(SpmvModel, FromMachinePreset) {
@@ -38,8 +38,15 @@ TEST(SpmvModel, FromMachinePreset) {
     EXPECT_GT(model.predict_seconds(square_shape(), f), 0.0) << f;
 }
 
+TEST(SpmvModel, FromMachineRejectsNonMonotoneHierarchy) {
+  // An L2 faster than L1 is not a memory hierarchy.
+  auto machine = pe::machine::MachineRegistry::builtin().get("laptop-x86");
+  machine.hierarchy[1].bandwidth = machine.hierarchy[0].bandwidth * 2.0;
+  EXPECT_THROW((void)SpmvFormatModel::from_machine(machine), pe::Error);
+}
+
 TEST(SpmvModel, TrafficOrderingMatchesFormatStructure) {
-  const SpmvFormatModel model(1e9, 1e10);
+  const SpmvFormatModel model({1e9, 1e10});
   const SpmvShape s = square_shape();
   // COO carries a row index per entry that CSR amortizes into row_ptr, so
   // COO always moves more bytes; CSC pays scattered y read-modify-writes
@@ -52,7 +59,7 @@ TEST(SpmvModel, TrafficOrderingMatchesFormatStructure) {
 }
 
 TEST(SpmvModel, ChoosePrefersLowPaddingFormats) {
-  const SpmvFormatModel model(1e9, 1e10);
+  const SpmvFormatModel model({1e9, 1e10});
   // With no padding at all, SELL's traffic equals ELL's minus the row
   // pointer difference — the winner must be one of the padding-free
   // streaming formats, never COO or CSC.
@@ -70,14 +77,14 @@ TEST(SpmvModel, ChoosePrefersLowPaddingFormats) {
 TEST(SpmvModel, PredictionRespectsComputeFloor) {
   // Absurdly slow compute: the compute roof dominates, and every format
   // predicts the same 2*nnz/peak seconds.
-  const SpmvFormatModel slow(1e3, 1e12);
+  const SpmvFormatModel slow({1e3, 1e12});
   const SpmvShape s = square_shape();
   for (const std::string& f : SpmvFormatModel::format_names())
     EXPECT_DOUBLE_EQ(slow.predict_seconds(s, f), 2.0 * s.nnz / 1e3) << f;
 }
 
 TEST(SpmvModel, EvalBridgesIntoCompositionLayer) {
-  const SpmvFormatModel model(1e9, 1e10);
+  const SpmvFormatModel model({1e9, 1e10});
   const auto eval = model.eval(square_shape(), "csr");
   const auto e = eval.evaluate();
   EXPECT_GT(e.seconds, 0.0);
@@ -87,7 +94,7 @@ TEST(SpmvModel, EvalBridgesIntoCompositionLayer) {
 }
 
 TEST(SpmvModel, EmptyShapeRejected) {
-  const SpmvFormatModel model(1e9, 1e10);
+  const SpmvFormatModel model({1e9, 1e10});
   SpmvShape s;
   EXPECT_THROW((void)model.traffic_bytes(s, "csr"), pe::Error);
 }
